@@ -66,6 +66,9 @@ class CorrectionFactorTable:
     they model."""
     _width_rows: dict = field(default_factory=dict, repr=False, compare=False)
     """Memoized per-width factor prefixes; see :meth:`rows_for_width`."""
+    _factor_plans: dict = field(default_factory=dict, repr=False, compare=False)
+    """Memoized optimizer output per configuration; see
+    :func:`repro.plr.optimizer.optimize_factors`."""
 
     @classmethod
     def build(

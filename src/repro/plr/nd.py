@@ -29,10 +29,12 @@ from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.obs.tracer import NULL_TRACER
-from repro.plr.phase1 import check_integer_coefficients, phase1
-from repro.plr.phase2 import phase2
+# phase1 stays importable here: the benchmark's traced run wraps it by
+# attribute on this module.
+from repro.plr.phase1 import check_integer_coefficients, phase1  # noqa: F401
 from repro.plr.planner import ExecutionPlan, plan_execution
 from repro.plr.solver import cached_factor_table
+from repro.plr.tiled import solve_tiled
 
 __all__ = ["solve_batch", "filter_axis", "filter2d", "summed_area_table"]
 
@@ -59,9 +61,10 @@ def solve_batch(
     ``values`` has shape (rows, n); each row is its own sequence with
     its own zero history.  Returns an array of the same shape.  This is
     the vectorized core the batched execution engine
-    (:mod:`repro.batch`) builds on: Phase 1 runs over all (row, chunk)
-    pairs at once and Phase 2's carry spine walks the chunk axis once
-    for every row simultaneously.
+    (:mod:`repro.batch`) builds on, and the same tiled pass
+    (:func:`~repro.plr.tiled.solve_tiled`) :class:`~repro.plr.PLRSolver`
+    runs as a batch of one: short rows share a tile, so Phase 1 merges
+    and the carry spine advance all of them at once.
 
     ``plan`` overrides the paper's planner (the batch engine passes the
     plan it grouped requests under); ``tracer`` threads an optional
@@ -90,47 +93,32 @@ def solve_batch(
         recurrence.signature.feedforward + recurrence.signature.feedback, dtype
     )
 
-    work = values.astype(dtype, copy=False)
-    if recurrence.has_map_stage:
-        ff = [
-            a if isinstance(a, int) else float(a)
-            for a in recurrence.signature.feedforward
-        ]
-        mapped = np.zeros_like(work)
-        for j, a in enumerate(ff):
-            if a == 0:
-                continue
-            coeff = np.asarray(a, dtype=dtype) if dtype.kind == "i" else dtype.type(a)
-            if j == 0:
-                mapped += coeff * work
-            else:
-                mapped[:, j:] += coeff * work[:, :-j]
-        work = mapped
-
     if plan is None:
         plan = plan_execution(recurrence.signature, n)
     m = plan.chunk_size
-    chunks = -(-n // m)
-    padded = np.zeros((rows, chunks * m), dtype=dtype)
-    padded[:, :n] = work
-
     table = cached_factor_table(recurrence.recursive_signature, m, dtype)
 
     if backend == "process":
         from repro.parallel.backend import solve_batch_sharded
 
+        chunks = -(-n // m)
+        padded = np.zeros((rows, chunks * m), dtype=dtype)
+        work = values.astype(dtype, copy=False)
+        padded[:, :n] = (
+            recurrence.apply_map_stage(work) if recurrence.has_map_stage else work
+        )
         corrected = solve_batch_sharded(
             padded, table, plan.values_per_thread, options=shard_options, tracer=tracer
         )
         return corrected.reshape(rows, chunks * m)[:, :n]
 
-    # Phase 1 treats every (row, chunk) pair as an independent chunk;
-    # Phase 2 runs its carry spine once, vectorized across all rows.
-    # `padded` is a fresh local buffer, so Phase 2 corrects the Phase 1
-    # result in place — no second (rows * chunks, m) allocation.
-    partial = phase1(padded, table, plan.values_per_thread, tracer=tracer)
-    corrected = phase2(partial, table, tracer=tracer, out=partial)
-    return corrected.reshape(rows, chunks * m)[:, :n]
+    # One tiled pass: each tile holds whole rows or a run of one row's
+    # chunks, and the carry spine walks every row of a tile at once.
+    out, _ = solve_tiled(
+        values, recurrence.signature.feedforward, table, plan.values_per_thread,
+        tracer=tracer,
+    )
+    return out[:, :n]
 
 
 def filter_axis(

@@ -230,9 +230,24 @@ def optimize_factors(
     table: CorrectionFactorTable,
     config: OptimizationConfig | None = None,
 ) -> FactorPlan:
-    """Analyze a factor table and choose a realization per carry."""
+    """Analyze a factor table and choose a realization per carry.
+
+    The plan is memoized on the table, keyed by the (frozen) config:
+    both are immutable, and the analysis — the period scan alone makes
+    up to ``MAX_PERIOD`` row comparisons per carry — would otherwise
+    dominate every short solve.
+    """
     if config is None:
         config = OptimizationConfig()
+    plan = table._factor_plans.get(config)
+    if plan is None:
+        plan = table._factor_plans[config] = _analyze(table, config)
+    return plan
+
+
+def _analyze(
+    table: CorrectionFactorTable, config: OptimizationConfig
+) -> FactorPlan:
     shifted = table.shifted_duplicate_rows() if config.suppress_shifted_duplicate else None
     decisions = tuple(
         _decide_one(table, config, j, shifted) for j in range(table.order)

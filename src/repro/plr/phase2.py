@@ -36,7 +36,9 @@ __all__ = [
     "add_carry_products",
     "apply_global_correction",
     "phase2",
+    "trace_lookbacks",
     "LOOKBACK_SUMMARY_THRESHOLD",
+    "TILE_BYTES",
 ]
 
 LOOKBACK_SUMMARY_THRESHOLD = 64
@@ -139,13 +141,15 @@ def lookback_combine(
     return carries
 
 
-_CORRECTION_BLOCK_BYTES = 1 << 20
-"""Scratch budget for the blocked carry-product matmul.
+TILE_BYTES = 1 << 20
+"""The cache budget of one unit of host-side work, in bytes.
 
-Bounds the temporary :func:`add_carry_products` allocates to ~1 MiB no
-matter how large the partial result is, so the in-place correction path
-never re-creates the second ``(chunks, m)`` array it exists to avoid
-(pinned by the tracemalloc regression test)."""
+:func:`repro.plr.tiled.solve_tiled` streams the solve through tiles of
+at most this many bytes, so each tile is mapped, merged and corrected
+while it stays in L2.  :func:`add_carry_products` bounds its scratch by
+the same budget, so the in-place correction never re-creates the
+second ``(chunks, m)`` array it exists to avoid (pinned by the
+tracemalloc regression test)."""
 
 
 def add_carry_products(
@@ -154,14 +158,15 @@ def add_carry_products(
     """Accumulate ``target[..., c, :] += prev[..., c, :] @ factors`` in place.
 
     ``target`` is a (..., C, m) block of chunk rows, ``prev`` the
-    (..., C, k) carries feeding them, and ``factors`` the k-by-m table —
-    one matmul fuses the k-carry correction loop.  Work is blocked along
-    the chunk axis so the matmul scratch stays under
-    :data:`_CORRECTION_BLOCK_BYTES` instead of materializing a full
-    (..., C, m) product.  For k = 1 and for integer dtypes the result is
-    bit-identical to the per-carry loop (one product per element, and
-    wraparound integer arithmetic is exact); float k > 1 sums the carry
-    terms in matmul order, within normal rounding of the loop order.
+    (..., C, k) carries feeding them, and ``factors`` the k-by-m table.
+    Float dtypes fuse the k-carry correction loop into one matmul; float
+    k > 1 sums the carry terms in matmul order, within normal rounding
+    of the loop order.  Integer dtypes add k broadcast products instead:
+    numpy has no BLAS path for integer matmul, and wraparound integer
+    addition is exact in any order, so the result is bit-identical.
+    Work is blocked along the chunk axis so the scratch stays under
+    :data:`TILE_BYTES` instead of materializing a full (..., C, m)
+    product.
     """
     num_rows = target.shape[-2]
     if num_rows == 0:
@@ -169,15 +174,22 @@ def add_carry_products(
     m = target.shape[-1]
     leading = int(np.prod(target.shape[:-2], dtype=np.int64))
     row_bytes = max(1, leading * m * target.dtype.itemsize)
-    block = max(1, _CORRECTION_BLOCK_BYTES // row_bytes)
+    block = max(1, TILE_BYTES // row_bytes)
     scratch = np.empty(
         target.shape[:-2] + (min(block, num_rows), m), dtype=target.dtype
     )
+    integer = np.issubdtype(target.dtype, np.integer)
     for start in range(0, num_rows, block):
         stop = min(start + block, num_rows)
         view = scratch[..., : stop - start, :]
-        np.matmul(prev[..., start:stop, :], factors, out=view)
-        target[..., start:stop, :] += view
+        rows = target[..., start:stop, :]
+        if integer:
+            for j in range(factors.shape[0]):
+                np.multiply(prev[..., start:stop, j, None], factors[j], out=view)
+                rows += view
+        else:
+            np.matmul(prev[..., start:stop, :], factors, out=view)
+            rows += view
 
 
 def apply_global_correction(
@@ -210,6 +222,39 @@ def apply_global_correction(
     return out
 
 
+def trace_lookbacks(tracer, num_chunks: int) -> None:
+    """Emit the sequential spine's look-back events for one solve.
+
+    Chunks 1..num_chunks-1 each take their predecessor's global carries
+    (distance 1).  Up to :data:`LOOKBACK_SUMMARY_THRESHOLD` corrected
+    chunks, every chunk emits one ``lookback`` instant (cat ``phase2``,
+    tid = chunk id, args chunk/base/distance); larger runs emit a single
+    ``lookback_summary`` instant carrying the chunk count instead,
+    keeping the traced hot path O(1) in Python.  ``num_chunks`` counts
+    the chunks of one sequence, so a batched or tiled solve emits the
+    same events as one whole-array Phase 2.
+    """
+    if not tracer.enabled:
+        return
+    corrected = num_chunks - 1
+    if corrected > LOOKBACK_SUMMARY_THRESHOLD:
+        tracer.instant(
+            "lookback_summary",
+            cat="phase2",
+            pid=TracePid.HOST,
+            args={"first_chunk": 1, "chunks": corrected, "distance": 1},
+        )
+        return
+    for c in range(1, num_chunks):
+        tracer.instant(
+            "lookback",
+            cat="phase2",
+            pid=TracePid.HOST,
+            tid=c,
+            args={"chunk": c, "base": c - 1, "distance": 1},
+        )
+
+
 def phase2(
     partial: np.ndarray,
     table: CorrectionFactorTable,
@@ -234,15 +279,11 @@ def phase2(
     touched, so self-correction is safe).
 
     With an enabled ``tracer``, the carry-propagation and correction
-    stages emit spans.  For runs up to :data:`LOOKBACK_SUMMARY_THRESHOLD`
-    corrected chunks, every chunk c >= 1 emits one ``lookback`` instant
-    (cat ``phase2``, tid = chunk id, args chunk/base/distance); larger
-    runs emit a single ``lookback_summary`` instant carrying the chunk
-    count instead, keeping the traced hot path O(1) in Python.  The
-    spine is sequential here, so the distance is always 1 — the
-    decoupled variable-look-back distances come from the GPU
-    simulator's traces; the shared event names let one profile reader
-    consume both.
+    stages emit spans, and :func:`trace_lookbacks` emits the per-chunk
+    ``lookback`` instants (or one ``lookback_summary``).  The spine is
+    sequential here, so the distance is always 1 — the decoupled
+    variable-look-back distances come from the GPU simulator's traces;
+    the shared event names let one profile reader consume both.
     """
     matrix = transition_matrix(table)
     locals_ = local_carries(partial, table.order)
@@ -252,23 +293,6 @@ def phase2(
         locals_ = np.ascontiguousarray(locals_)
     with tracer.span("propagate_carries", cat="phase2"):
         global_ = propagate_carries(locals_, matrix)
-    if tracer.enabled:
-        corrected = partial.shape[-2] - 1
-        if corrected > LOOKBACK_SUMMARY_THRESHOLD:
-            tracer.instant(
-                "lookback_summary",
-                cat="phase2",
-                pid=TracePid.HOST,
-                args={"first_chunk": 1, "chunks": corrected, "distance": 1},
-            )
-        else:
-            for c in range(1, partial.shape[-2]):
-                tracer.instant(
-                    "lookback",
-                    cat="phase2",
-                    pid=TracePid.HOST,
-                    tid=c,
-                    args={"chunk": c, "base": c - 1, "distance": 1},
-                )
+    trace_lookbacks(tracer, partial.shape[-2])
     with tracer.span("apply_global_correction", cat="phase2"):
         return apply_global_correction(partial, global_, table, out=out)

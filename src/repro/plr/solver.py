@@ -33,9 +33,11 @@ from repro.obs.tracer import coerce_tracer
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import FactorPlan, OptimizationConfig, optimize_factors
 from repro.parallel.sharding import ShardOptions
-from repro.plr.phase1 import check_integer_coefficients, phase1
-from repro.plr.phase2 import phase2
+# phase1 stays importable here: the benchmark's traced run wraps it by
+# attribute on this module.
+from repro.plr.phase1 import check_integer_coefficients, phase1  # noqa: F401
 from repro.plr.planner import ExecutionPlan, plan_execution
+from repro.plr.tiled import solve_tiled
 
 __all__ = [
     "PLRSolver",
@@ -305,9 +307,10 @@ class PLRSolver:
     ) -> tuple[np.ndarray, SolveArtifacts]:
         """Like :meth:`solve` but also returns the intermediate state.
 
-        Keeping ``artifacts.partial`` valid requires Phase 2 to correct
-        a copy rather than the Phase 1 buffer, so this entry point pays
-        one extra (num_chunks, m) allocation that :meth:`solve` avoids.
+        Keeping ``artifacts.partial`` valid means copying each tile's
+        Phase 1 result aside before Phase 2 corrects it, so this entry
+        point pays one extra (num_chunks, m) allocation that
+        :meth:`solve` avoids.
         """
         return self._solve(values, plan, dtype, keep_partial=True, context=context)
 
@@ -359,12 +362,6 @@ class PLRSolver:
             dtype,
         )
 
-        work = values.astype(dtype, copy=False)
-        # Map stage (2): eliminate the feed-forward coefficients.
-        if self.recurrence.has_map_stage:
-            with tracer.span("map_stage", cat="solver", link=link()):
-                work = self.recurrence.apply_map_stage(work)
-
         with tracer.span("factor_table", cat="solver", link=link()):
             table = self.factor_table(plan, dtype)
         factor_plan = optimize_factors(table, self.optimization)
@@ -373,7 +370,8 @@ class PLRSolver:
         if backend == "native":
             try:
                 out, native_record = self._solve_native(
-                    work, n, plan, table, factor_plan, dtype, tracer, link,
+                    self._mapped(values, dtype, tracer, link),
+                    n, plan, table, factor_plan, dtype, tracer, link,
                     shard_options,
                 )
             except (BackendError, CodegenError) as exc:
@@ -406,26 +404,23 @@ class PLRSolver:
                 )
                 return out, artifacts
 
-        # Zero-pad to a whole number of chunks.  Trailing zeros never
-        # influence earlier outputs, so the unpadded prefix is exact.
-        padded_n = plan.padded_n
-        if padded_n != n:
-            padded = np.zeros(padded_n, dtype=dtype)
-            padded[:n] = work
-        else:
-            padded = work
-
-        partial: np.ndarray | None
+        partial: np.ndarray | None = None
         if backend == "process":
             from repro.parallel.backend import solve_sharded
 
+            # Zero-pad to a whole number of chunks.  Trailing zeros never
+            # influence earlier outputs, so the unpadded prefix is exact.
+            padded = np.zeros(plan.padded_n, dtype=dtype)
+            padded[:n] = self._mapped(values, dtype, tracer, link)
             sharded_ctx = link()
             with tracer.span(
                 "solve_sharded",
                 cat="solver",
-                args={"chunks": padded_n // plan.chunk_size} if tracer.enabled else None,
+                args={"chunks": plan.num_chunks} if tracer.enabled else None,
                 link=sharded_ctx,
             ):
+                # Workers correct their shared slabs in place; no
+                # host-side Phase 1 snapshot exists to expose.
                 corrected = solve_sharded(
                     padded,
                     table,
@@ -434,25 +429,18 @@ class PLRSolver:
                     tracer=tracer,
                     context=sharded_ctx,
                 )
-            # Workers corrected their shared slabs in place; no host-side
-            # Phase 1 snapshot exists to expose.
-            partial = None
         else:
-            with tracer.span(
-                "phase1",
-                cat="solver",
-                args={"chunks": padded_n // plan.chunk_size} if tracer.enabled else None,
-                link=link(),
-            ):
-                partial = phase1(padded, table, plan.values_per_thread, tracer=tracer)
-            with tracer.span("phase2", cat="solver", link=link()):
-                # Correct the Phase 1 buffer in place unless the caller
-                # asked for the pristine partial result.
-                corrected = phase2(
-                    partial, table, tracer=tracer, out=None if keep_partial else partial
-                )
-                if not keep_partial:
-                    partial = None
+            corrected, partial = solve_tiled(
+                values.reshape(1, n),
+                self.recurrence.signature.feedforward,
+                table,
+                plan.values_per_thread,
+                tracer=tracer,
+                context=context,
+                keep_partial=keep_partial,
+            )
+            if partial is not None:
+                partial = partial.reshape(-1, plan.chunk_size)
 
         out = corrected.reshape(-1)[:n]
         artifacts = SolveArtifacts(
@@ -465,6 +453,15 @@ class PLRSolver:
             backend=backend,
         )
         return out, artifacts
+
+    def _mapped(self, values, dtype, tracer, link) -> np.ndarray:
+        """The whole-array cast and map stage (2) the native and process
+        backends start from; the single backend maps tile by tile."""
+        work = values.astype(dtype, copy=False)
+        if self.recurrence.has_map_stage:
+            with tracer.span("map_stage", cat="solver", link=link()):
+                work = self.recurrence.apply_map_stage(work)
+        return work
 
     def _resolve_auto(self, n, dtype, tracer, link):
         """Resolve ``backend="auto"`` through the tuning policy.

@@ -210,32 +210,10 @@ class StreamingSolver:
 
     def _map_with_history(self, block: np.ndarray) -> np.ndarray:
         """The FIR stage (2) over the block, seeing prior raw inputs."""
-        p = self._fir_order
-        ff = [
-            a if isinstance(a, int) else float(a)
-            for a in self.recurrence.signature.feedforward
-        ]
-        if p == 0:
-            if ff == [1]:
-                return block
-            coeff = (
-                np.asarray(ff[0], dtype=self.dtype)
-                if self.dtype.kind == "i"
-                else self.dtype.type(ff[0])
-            )
-            return block * coeff
+        if not self.recurrence.has_map_stage:
+            return block
         extended = np.concatenate([self._state.inputs[::-1], block])
-        out = np.zeros_like(block)
-        for j, a in enumerate(ff):
-            if a == 0:
-                continue
-            coeff = (
-                np.asarray(a, dtype=self.dtype)
-                if self.dtype.kind == "i"
-                else self.dtype.type(a)
-            )
-            out += coeff * extended[p - j : p - j + block.size]
-        return out
+        return self.recurrence.apply_map_stage(extended)[self._fir_order :]
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """Process the next block; returns its recurrence outputs.
@@ -414,33 +392,10 @@ class BatchStreamingSolver:
 
     # ------------------------------------------------------------------
     def _map_with_history(self, blocks: np.ndarray) -> np.ndarray:
-        p = self._fir_order
-        ff = [
-            a if isinstance(a, int) else float(a)
-            for a in self.recurrence.signature.feedforward
-        ]
-        if p == 0:
-            if ff == [1]:
-                return blocks
-            coeff = (
-                np.asarray(ff[0], dtype=self.dtype)
-                if self.dtype.kind == "i"
-                else self.dtype.type(ff[0])
-            )
-            return blocks * coeff
+        if not self.recurrence.has_map_stage:
+            return blocks
         extended = np.concatenate([self._inputs[:, ::-1], blocks], axis=1)
-        out = np.zeros_like(blocks)
-        bn = blocks.shape[1]
-        for j, a in enumerate(ff):
-            if a == 0:
-                continue
-            coeff = (
-                np.asarray(a, dtype=self.dtype)
-                if self.dtype.kind == "i"
-                else self.dtype.type(a)
-            )
-            out += coeff * extended[:, p - j : p - j + bn]
-        return out
+        return self.recurrence.apply_map_stage(extended)[:, self._fir_order :]
 
     def push(self, blocks: np.ndarray) -> np.ndarray:
         """Advance every stream by one ``(B, block)`` matrix of values.

@@ -165,3 +165,17 @@ def test_default_config_is_all_paper_optimizations():
     assert config.fold_repeats
     assert config.truncate_decayed
     assert not config.suppress_shifted_duplicate  # future work: opt-in
+
+
+class TestPlanMemo:
+    def test_repeat_lookups_return_the_memoized_plan(self):
+        table = CorrectionFactorTable.build(
+            Signature.parse("(1: 1.6, -0.64)"), 256, np.float32
+        )
+        plan = optimize_factors(table)
+        assert optimize_factors(table) is plan
+        assert optimize_factors(table, OptimizationConfig()) is plan
+        disabled = optimize_factors(table, OptimizationConfig.disabled())
+        assert disabled is not plan
+        assert disabled.config == OptimizationConfig.disabled()
+        assert optimize_factors(table, OptimizationConfig.disabled()) is disabled

@@ -11,6 +11,7 @@ from repro.core.signature import Signature
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.phase1 import phase1
 from repro.plr.phase2 import (
+    add_carry_products,
     apply_global_correction,
     local_carries,
     lookback_combine,
@@ -169,3 +170,17 @@ class TestEndToEnd:
         carries = propagate_carries(local_carries(partial, 1), transition_matrix(table))
         out = apply_global_correction(partial, carries, table)
         np.testing.assert_array_equal(out[0], partial[0])
+
+
+class TestAddCarryProducts:
+    @pytest.mark.parametrize("text", ["(1: 1)", "(1: 2, -1)", "(1: 3, -3, 1)"])
+    def test_integer_sum_equals_wrapping_matmul(self, text, rng):
+        # Large carries overflow int32: the k broadcast multiply-adds
+        # must wrap exactly like the matmul they replace.
+        table = CorrectionFactorTable.build(Signature.parse(text), 64, np.int32)
+        k = table.order
+        target = rng.integers(-(2**31), 2**31 - 1, (2, 5, 64), dtype=np.int32)
+        prev = rng.integers(-(2**31), 2**31 - 1, (2, 5, k), dtype=np.int32)
+        expected = target + prev @ table.factors
+        add_carry_products(target, prev, table.factors)
+        np.testing.assert_array_equal(target, expected)
