@@ -241,10 +241,12 @@ def _phase2_slab_task(
                 if base is None:
                     # First slab: chunk 0 is already globally correct.
                     if stop - start > 1:
-                        add_carry_products(slab[1:], global_[:-1], table.factors)
+                        add_carry_products(
+                            slab[1:], global_[:-1], table.live_factors, table.unit_rows
+                        )
                 else:
                     prev = np.concatenate([base[None, :], global_[:-1]])
-                    add_carry_products(slab, prev, table.factors)
+                    add_carry_products(slab, prev, table.live_factors, table.unit_rows)
         events = list(tracer.events)
         work = None
         carries = None

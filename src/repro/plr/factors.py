@@ -154,21 +154,55 @@ class CorrectionFactorTable:
         return self.factors[carry_index]
 
     def rows_for_width(self, width: int) -> tuple[np.ndarray, ...]:
-        """The factor prefixes ``factors[j, :width]`` for every carry
-        that exists at this merge width (j < min(k, width)).
+        """The live factor prefixes for every carry that exists at this
+        merge width (j < min(k, width)).
 
-        Phase 1's doubling levels consume exactly these prefixes once
-        per level; memoizing them here means ``merge_level`` re-slices
-        nothing on the hot path — repeated solves under one table reuse
-        the same read-only views.
+        Row j is ``factors[j, :min(width, row_extents[j])]``: cut at its
+        exact-zero tail, so a merge never multiplies factors the table
+        proves are zero.  Phase 1's doubling levels consume exactly
+        these prefixes once per level; memoizing them here means
+        ``merge_level`` re-slices nothing on the hot path — repeated
+        solves under one table reuse the same read-only views.
         """
         rows = self._width_rows.get(width)
         if rows is None:
+            extents = self.row_extents
             rows = tuple(
-                self.factors[j, :width] for j in range(min(self.order, width))
+                self.factors[j, : min(width, extents[j])]
+                for j in range(min(self.order, width))
             )
             self._width_rows[width] = rows
         return rows
+
+    @cached_property
+    def row_extents(self) -> tuple[int, ...]:
+        """Per row, how many leading factors precede its exact-zero tail.
+
+        ``m`` for rows that never decay (prefix sums), the
+        :meth:`decay_index` otherwise.  Everything past a row's extent
+        is exactly zero, so corrections stop there (Section 3.1's
+        decay truncation).
+        """
+        return tuple(
+            self.chunk_size if index is None else index
+            for index in map(self.decay_index, range(self.order))
+        )
+
+    @cached_property
+    def unit_rows(self) -> tuple[bool, ...]:
+        """Per row, whether every factor is exactly 1 (prefix sums).
+
+        Such a row's correction is a plain add of its carry: ``1 * c``
+        is ``c`` bit for bit, so the multiply is skipped (Section 3.1's
+        constant folding).
+        """
+        return tuple(self.constant_value(j) == 1 for j in range(self.order))
+
+    @cached_property
+    def live_factors(self) -> np.ndarray:
+        """The leading columns of :attr:`factors` up to the longest row
+        extent: the only columns a Phase 2 correction can change."""
+        return self.factors[:, : max(self.row_extents, default=0)]
 
     # ------------------------------------------------------------------
     # Structural analyses feeding the Section 3.1 optimizations

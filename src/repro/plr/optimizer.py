@@ -20,10 +20,18 @@ PLR's "most important optimizations pertain to the correction factors":
 The optimizer is an *analysis*: it inspects a
 :class:`~repro.plr.factors.CorrectionFactorTable` and produces a
 :class:`FactorPlan` describing how each factor list should be realized.
-The code generators, the numpy solver, and the cost model all consume
-the same plan, so "optimizations on" means the same thing everywhere —
-including for Figure 10, which toggles them off via
-:class:`OptimizationConfig`.
+The code generators and the cost model consume the same plan, so
+"optimizations on" means the same thing in both — including for
+Figure 10, which toggles them off via :class:`OptimizationConfig`.
+
+The numpy solver records the plan on its artifacts but does not consume
+it.  It applies decay truncation and constant folding directly from the
+table (:meth:`~repro.plr.factors.CorrectionFactorTable.rows_for_width`,
+:attr:`~repro.plr.factors.CorrectionFactorTable.row_extents`,
+:attr:`~repro.plr.factors.CorrectionFactorTable.unit_rows`): every
+merge and correction stops at a row's exact-zero tail, and all-ones
+rows add their carry without a multiply.  Neither changes a finite
+result, so neither is configurable there.
 """
 
 from __future__ import annotations

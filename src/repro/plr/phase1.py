@@ -7,7 +7,8 @@ the chunk is zero).  It mirrors the generated CUDA code's structure:
 1. *Thread-local step* — each thread solves its x consecutive values
    serially (a chunk of size x is trivially correct on its own).  On
    the GPU this is in-register work; here it is one vectorized sweep
-   across all threads at once.
+   across all threads at once, run lane-major (see
+   :func:`phase1_inplace`) so the sweep walks long contiguous vectors.
 2. *Doubling steps* — chunk widths x, 2x, 4x, ..., m/2 are merged
    pairwise.  The second chunk of each pair is corrected by adding, for
    each carry j, ``factors[j][i] * carry_j`` to its element at offset
@@ -28,12 +29,14 @@ import numpy as np
 from repro.core.errors import NumericalError
 from repro.obs.tracer import NULL_TRACER
 from repro.plr.factors import CorrectionFactorTable
+from repro.plr.phase2 import TILE_BYTES
 
 __all__ = [
     "thread_local_solve",
     "merge_level",
     "phase1",
     "phase1_inplace",
+    "phase1_scratch",
     "doubling_widths",
     "check_integer_coefficients",
 ]
@@ -61,49 +64,85 @@ def check_integer_coefficients(coefficients, dtype: np.dtype) -> None:
 
 
 def thread_local_solve(
-    chunks: np.ndarray, feedback: list, x: int
+    chunks: np.ndarray, feedback: list, x: int, scratch: np.ndarray | None = None
 ) -> None:
     """Solve each width-x thread chunk serially, in place.
 
-    ``chunks`` has shape (num_threads, x); column i receives
+    ``chunks`` has shape (num_threads, x), or (num_threads, x, L) with a
+    trailing lane axis of L independent chunk sets (the lane-major
+    layout :func:`phase1_inplace` uses).  Column i receives
     ``sum_j b_j * column[i-j]`` for the in-chunk history only.  The loop
-    runs over x (small: <= 11) and k, vectorized over all threads.
+    runs over x (small: <= 11) and k, vectorized over all threads and
+    lanes.
 
-    The inner accumulation reuses one preallocated scratch column via
+    The inner accumulation reuses one scratch column via
     ``np.multiply(..., out=)`` instead of building a fresh
     ``coeff * column`` array per (i, j) step — same values in the same
     order (bit-identical; pinned by the Phase 1 invariant tests), but
     no temporary churn in the hottest loop of the thread-local stage.
+    A coefficient of 1 (prefix sums) adds the column without the
+    multiply, which is exact.  ``scratch`` optionally supplies the
+    column's storage: a flat buffer of at least ``chunks.size // x``
+    elements.
     """
     k = len(feedback)
     if np.issubdtype(chunks.dtype, np.integer):
         coeffs = [np.asarray(b, dtype=chunks.dtype) for b in feedback]
     else:
         coeffs = [chunks.dtype.type(b) for b in feedback]
-    scratch = np.empty(chunks.shape[0], dtype=chunks.dtype)
+    column_shape = chunks.shape[:1] + chunks.shape[2:]
+    if scratch is None:
+        column_scratch = np.empty(column_shape, dtype=chunks.dtype)
+    else:
+        column_scratch = scratch[: chunks.size // x].reshape(column_shape)
     for i in range(1, x):
         column = chunks[:, i]
         for j in range(1, min(i, k) + 1):
-            np.multiply(chunks[:, i - j], coeffs[j - 1], out=scratch)
-            column += scratch
+            if coeffs[j - 1] == 1:
+                column += chunks[:, i - j]
+                continue
+            np.multiply(chunks[:, i - j], coeffs[j - 1], out=column_scratch)
+            column += column_scratch
 
 
 def merge_level(
-    pairs: np.ndarray, table: CorrectionFactorTable, width: int
+    pairs: np.ndarray,
+    table: CorrectionFactorTable,
+    width: int,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """Merge adjacent chunk pairs of the given width, in place.
 
-    ``pairs`` has shape (num_pairs, 2*width).  For each carry j that
-    actually exists at this width (the paper's term-suppression
-    optimization: carry w[width-1-j] only exists when j < width), the
-    second half gets ``factors[j][:width] * carry_j`` added.  The
-    per-width factor prefixes come pre-sliced from
-    :meth:`~repro.plr.factors.CorrectionFactorTable.rows_for_width`.
+    ``pairs`` has shape (num_pairs, 2*width), or (num_pairs, 2*width, L)
+    with a trailing lane axis.  For each carry j that actually exists
+    at this width (the paper's term-suppression optimization: carry
+    w[width-1-j] only exists when j < width), the second half gets
+    ``factors[j][i] * carry_j`` added at offset i.  The factor rows come
+    from :meth:`~repro.plr.factors.CorrectionFactorTable.rows_for_width`,
+    cut at their exact-zero tails, so only the columns they cover are
+    touched; an all-ones row (the table's ``unit_rows``) adds its carry
+    without a multiply.
+    ``scratch`` optionally supplies the products' storage: a flat buffer
+    of at least ``pairs.size // 2`` elements.
     """
     second = pairs[:, width:]
+    lanes = pairs.ndim == 3
+    units = table.unit_rows
     for j, factor_row in enumerate(table.rows_for_width(width)):
-        carry = pairs[:, width - 1 - j]
-        second += factor_row * carry[:, None]
+        if factor_row.size == 0:
+            continue
+        carry = pairs[:, width - 1 - j, None]
+        target = second[:, : factor_row.size]
+        if units[j]:
+            target += carry
+            continue
+        factor = factor_row[:, None] if lanes else factor_row
+        if scratch is None:
+            target += factor * carry
+        else:
+            product = scratch[: target.size].reshape(target.shape)
+            np.multiply(factor, carry, out=product)
+            target += product
 
 
 def doubling_widths(x: int, chunk_size: int) -> list[int]:
@@ -124,49 +163,126 @@ def doubling_widths(x: int, chunk_size: int) -> list[int]:
     return widths
 
 
+LANE_THREADS = 8
+"""Threads per lane-major segment: Phase 1 runs the widths below
+``W0 = min(LANE_THREADS * x, m)`` with each W0-word segment transposed
+onto a contiguous lane axis (see :func:`phase1_inplace`).  A wider W0
+moves more levels onto the lanes, but numpy's transposed copies get
+slower as W0 grows; in sweeps of 4 to 64 on 1 MiB tiles (2-vCPU
+x86_64), no other value was consistently faster."""
+
+
+def phase1_scratch(words: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat buffers :func:`phase1_inplace` works in.
+
+    The first holds the lane-major copy of a block and, once that is
+    copied back, the wide levels' products; the second holds the
+    narrow levels' products.  ``words`` (a whole number of chunks)
+    bounds the block size.  Between Phase 1 calls the first buffer is
+    free, so the tiled pass also forms its fill and correction products
+    there.
+    """
+    return np.empty(words, dtype=dtype), np.empty(words, dtype=dtype)
+
+
 def phase1_inplace(
     work: np.ndarray,
     table: CorrectionFactorTable,
     x: int,
     tracer=NULL_TRACER,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """Run Phase 1 over a ``(num_chunks, m)`` chunk matrix, in place.
 
     The zero-copy core shared by :func:`phase1` (which copies first to
-    keep its input pristine) and the multicore backend
+    keep its input pristine), the tiled pass
+    (:mod:`repro.plr.tiled`) and the multicore backend
     (:mod:`repro.parallel`), whose workers call this directly on their
     shared-memory slab views — each chunk row is independent, so any
     contiguous row range is a valid unit of work.  ``work`` must be a
     C-contiguous 2D buffer whose row length equals the table's chunk
     size; it is overwritten with the locally correct partial result.
+
+    The matrix is processed in blocks of whole chunks of at most
+    :data:`~repro.plr.phase2.TILE_BYTES`, so every level of a block
+    runs in cache.  Within a block, the levels narrower than
+    ``W0 = min(LANE_THREADS * x, m)`` — the thread-local step and the
+    first merges, whose rows are a few words long — run on a transposed
+    copy in which word i of every W0-word segment lies on one contiguous
+    lane, so each broadcast walks long vectors instead of thousands of
+    short runs.  The block is then copied back for the levels from W0
+    to m/2.  Both layouts apply the same factors in the same order, so
+    the result equals the natural-layout composition bit for bit,
+    except where the merges skip factors that
+    :meth:`~repro.plr.factors.CorrectionFactorTable.rows_for_width`
+    proves are exactly zero: there the sign of a zero can differ, and a
+    non-finite carry no longer turns ``0 * inf`` into NaN (the batch
+    engine and ``ResilientSolver`` route non-finite inputs to the
+    serial path).
+
+    ``scratch`` is a :func:`phase1_scratch` pair the caller reuses;
+    its size sets the block.  Without it, one pair is allocated per
+    call.  With an enabled ``tracer``, each block emits one
+    ``thread_local_solve`` span (for x > 1) and one ``merge_level`` span
+    per width (cat ``phase1``) recording the width and how many pairs
+    merged.
     """
     m = table.chunk_size
     if work.ndim != 2 or work.shape[1] != m:
         raise ValueError(
             f"expected a (num_chunks, {m}) chunk matrix, got shape {work.shape}"
         )
+    num_chunks = work.shape[0]
+    if num_chunks == 0:
+        return
+    if scratch is None:
+        block = min(num_chunks, max(1, TILE_BYTES // (m * work.itemsize)))
+        scratch = phase1_scratch(block * m, work.dtype)
+    block = scratch[0].size // m
     feedback = [
         b if isinstance(b, int) else float(b) for b in table.signature.feedback
     ]
-    num_chunks = work.shape[0]
+    widths = doubling_widths(x, m)
+    for start in range(0, num_chunks, block):
+        _phase1_block(
+            work[start : start + block], table, x, feedback, widths, tracer, scratch
+        )
 
+
+def _phase1_block(work, table, x, feedback, widths, tracer, scratch) -> None:
+    """Phase 1 on one cache-sized block of chunks; see :func:`phase1_inplace`."""
+    lane_buffer, products = scratch
+    size = work.size
+    w0 = min(LANE_THREADS * x, table.chunk_size)
+    segments = work.reshape(size // w0, w0)
+    lanes = lane_buffer[:size].reshape(w0, size // w0)
+    np.copyto(lanes, segments.T)
     if x > 1:
-        thread_view = work.reshape(num_chunks * (m // x), x)
         with tracer.span(
             "thread_local_solve", cat="phase1", args={"x": x} if tracer.enabled else None
         ):
-            thread_local_solve(thread_view, feedback, x)
+            thread_local_solve(lanes.reshape(w0 // x, x, -1), feedback, x, products)
+    narrow = [width for width in widths if width < w0]
+    for width in narrow:
+        pairs = lanes.reshape(w0 // (2 * width), 2 * width, -1)
+        _merge(pairs, table, width, size, products, tracer)
+    np.copyto(segments, lanes.T)
+    # The lane copy is dead now: its buffer takes the wide levels'
+    # products, so they share cache with the block alone.
+    for width in widths[len(narrow) :]:
+        pairs = work.reshape(size // (2 * width), 2 * width)
+        _merge(pairs, table, width, size, lane_buffer, tracer)
 
-    for width in doubling_widths(x, m):
-        pairs = num_chunks * (m // (2 * width))
-        pair_view = work.reshape(pairs, 2 * width)
-        if tracer.enabled:
-            with tracer.span(
-                "merge_level", cat="phase1", args={"width": width, "pairs": pairs}
-            ):
-                merge_level(pair_view, table, width)
-        else:
-            merge_level(pair_view, table, width)
+
+def _merge(pairs, table, width, size, products, tracer) -> None:
+    """One :func:`merge_level`, in a span when tracing."""
+    if not tracer.enabled:
+        merge_level(pairs, table, width, products)
+        return
+    with tracer.span(
+        "merge_level", cat="phase1", args={"width": width, "pairs": size // (2 * width)}
+    ):
+        merge_level(pairs, table, width, products)
 
 
 def phase1(

@@ -146,50 +146,66 @@ TILE_BYTES = 1 << 20
 
 :func:`repro.plr.tiled.solve_tiled` streams the solve through tiles of
 at most this many bytes, so each tile is mapped, merged and corrected
-while it stays in L2.  :func:`add_carry_products` bounds its scratch by
-the same budget, so the in-place correction never re-creates the
-second ``(chunks, m)`` array it exists to avoid (pinned by the
-tracemalloc regression test)."""
+while it stays in L2; :func:`repro.plr.phase1.phase1_inplace` walks
+larger chunk matrices in blocks of the same size.
+:func:`add_carry_products` bounds its scratch by the same budget, so
+the in-place correction never re-creates the second ``(chunks, m)``
+array it exists to avoid (pinned by the tracemalloc regression test)."""
 
 
 def add_carry_products(
-    target: np.ndarray, prev: np.ndarray, factors: np.ndarray
+    target: np.ndarray,
+    prev: np.ndarray,
+    factors: np.ndarray,
+    unit_rows: tuple[bool, ...] = (),
+    scratch: np.ndarray | None = None,
 ) -> None:
-    """Accumulate ``target[..., c, :] += prev[..., c, :] @ factors`` in place.
+    """Accumulate ``target[..., c, :w] += prev[..., c, :] @ factors`` in place.
 
     ``target`` is a (..., C, m) block of chunk rows, ``prev`` the
-    (..., C, k) carries feeding them, and ``factors`` the k-by-m table.
-    Float dtypes fuse the k-carry correction loop into one matmul; float
-    k > 1 sums the carry terms in matmul order, within normal rounding
-    of the loop order.  Integer dtypes add k broadcast products instead:
-    numpy has no BLAS path for integer matmul, and wraparound integer
-    addition is exact in any order, so the result is bit-identical.
-    Work is blocked along the chunk axis so the scratch stays under
-    :data:`TILE_BYTES` instead of materializing a full (..., C, m)
-    product.
+    (..., C, k) carries feeding them, and ``factors`` the k-by-w factor
+    columns to apply, w <= m: a correction touches only the first w
+    columns of every row, so callers pass
+    :attr:`~repro.plr.factors.CorrectionFactorTable.live_factors` to
+    skip the columns the table proves are zero.  Float dtypes fuse the
+    k-carry correction loop into one matmul; float k > 1 sums the carry
+    terms in matmul order, within normal rounding of the loop order.
+    Integer dtypes, and k = 1, add k broadcast products instead: numpy
+    has no BLAS path for integer matmul, wraparound integer addition is
+    exact in any order, and one product needs no sum, so the result is
+    bit-identical.  On that path a row flagged in ``unit_rows`` (all
+    factors 1) adds its carry without a multiply.
+    Work is blocked along the chunk axis so the products stay within
+    ``scratch`` (a flat buffer of at least one chunk row of products)
+    or, without it, under :data:`TILE_BYTES` instead of materializing a
+    full (..., C, m) product.
     """
     num_rows = target.shape[-2]
-    if num_rows == 0:
+    width = factors.shape[-1]
+    if num_rows == 0 or width == 0:
         return
-    m = target.shape[-1]
-    leading = int(np.prod(target.shape[:-2], dtype=np.int64))
-    row_bytes = max(1, leading * m * target.dtype.itemsize)
-    block = max(1, TILE_BYTES // row_bytes)
-    scratch = np.empty(
-        target.shape[:-2] + (min(block, num_rows), m), dtype=target.dtype
-    )
-    integer = np.issubdtype(target.dtype, np.integer)
+    leading = target.shape[:-2]
+    row_words = max(1, int(np.prod(leading, dtype=np.int64)) * width)
+    if scratch is None:
+        block = max(1, TILE_BYTES // (row_words * target.dtype.itemsize))
+        scratch = np.empty(min(block, num_rows) * row_words, dtype=target.dtype)
+    block = scratch.size // row_words
+    per_row = factors.shape[0] == 1 or np.issubdtype(target.dtype, np.integer)
     for start in range(0, num_rows, block):
         stop = min(start + block, num_rows)
-        view = scratch[..., : stop - start, :]
-        rows = target[..., start:stop, :]
-        if integer:
-            for j in range(factors.shape[0]):
-                np.multiply(prev[..., start:stop, j, None], factors[j], out=view)
-                rows += view
-        else:
-            np.matmul(prev[..., start:stop, :], factors, out=view)
-            rows += view
+        rows = target[..., start:stop, :width]
+        product = scratch[: rows.size].reshape(rows.shape)
+        if not per_row:
+            np.matmul(prev[..., start:stop, :], factors, out=product)
+            rows += product
+            continue
+        for j in range(factors.shape[0]):
+            carry = prev[..., start:stop, j, None]
+            if j < len(unit_rows) and unit_rows[j]:
+                rows += carry
+            else:
+                np.multiply(carry, factors[j], out=product)
+                rows += product
 
 
 def apply_global_correction(
@@ -218,7 +234,7 @@ def apply_global_correction(
     if out.shape[-2] <= 1:
         return out
     prev = global_carries[..., :-1, :]  # carries feeding chunks 1..end
-    add_carry_products(out[..., 1:, :], prev, table.factors)
+    add_carry_products(out[..., 1:, :], prev, table.live_factors, table.unit_rows)
     return out
 
 

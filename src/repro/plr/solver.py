@@ -181,10 +181,15 @@ class PLRSolver:
         The GPU whose planning heuristics to follow; defaults to the
         paper's Titan X.
     optimization:
-        Which Section 3.1 optimizations to apply.  The numpy execution
-        only *semantically depends* on one of them (decay truncation
-        shortens the correction loops); the rest shape the generated
-        code and the cost model.  Defaults to all-on, like PLR.
+        Which Section 3.1 optimizations the generated code and the cost
+        model apply; the resulting plan lands on
+        ``artifacts.factor_plan``.  Defaults to all-on, like PLR.  The
+        numpy execution does not read it: its merges and corrections
+        prune by the factor table's own structure instead — each row
+        stops at its exact-zero tail (decay truncation) and all-ones
+        rows add their carry without a multiply (constant folding) —
+        which never changes a finite result beyond the sign of an exact
+        zero.
     tracer:
         Observability hook: ``True`` for a fresh
         :class:`~repro.obs.tracer.Tracer`, an existing tracer to share,

@@ -230,18 +230,13 @@ class StreamingSolver:
 
         mapped = self._map_with_history(block)
         # Solve the block as a standalone sequence (zero history)...
-        local = self._solver.solve(mapped, dtype=self.dtype)
+        out = self._solver.solve(mapped, dtype=self.dtype)
         # ...then fold in the incoming carries through the factor rows:
         # out[i] += sum_j F_j[i] * state.outputs[j], the same correction
         # Phase 2 applies across chunk borders.
         k = self._order
-        out = local.copy()
         if np.any(self._state.outputs != 0):
-            table = self._factor_table(block.size)
-            for j in range(k):
-                carry = self._state.outputs[j]
-                if carry != 0:
-                    out += table.factors[j, : block.size] * carry
+            _fold_carries(out, self._state.outputs, self._factor_table(block.size))
 
         # Advance the boundary state.
         n = block.size
@@ -421,17 +416,12 @@ class BatchStreamingSolver:
         # stream's incoming carries through the shared factor rows —
         # the same cross-border correction Phase 2 applies, vectorized
         # over the batch axis.
-        local = solve_batch(
+        out = solve_batch(
             mapped, Recurrence(self.recurrence.recursive_signature), dtype=self.dtype
         )
         k = self._order
-        out = local
         if np.any(self._outputs != 0):
-            table = self._factor_table(bn)
-            for j in range(k):
-                carries = self._outputs[:, j]
-                if np.any(carries != 0):
-                    out = out + table.factors[j, :bn][None, :] * carries[:, None]
+            _fold_carries(out, self._outputs, self._factor_table(bn))
 
         new_outputs = np.zeros((self.batch_size, k), dtype=self.dtype)
         take = min(k, bn)
@@ -455,3 +445,27 @@ class BatchStreamingSolver:
         return cached_factor_table(
             self.recurrence.recursive_signature, size, self.dtype
         )
+
+
+def _fold_carries(
+    local: np.ndarray, carries: np.ndarray, table: CorrectionFactorTable
+) -> None:
+    """Add ``F_j[i] * carries[..., j]`` to a freshly solved block, in place.
+
+    ``local`` is the (..., n) zero-history solution of the block and
+    ``carries`` the (..., k) outputs preceding it, most recent first.
+    Carry j touches only the first ``row_extents[j]`` words, where its
+    factor row is not exactly zero, and an all-ones row adds the carry
+    without a multiply — the same cut rows Phase 1 merges with.  Zero
+    carries (every stream's, in a batch) are skipped.
+    """
+    n = local.shape[-1]
+    for j in range(carries.shape[-1]):
+        carry = carries[..., j, None]
+        if not np.any(carry):
+            continue
+        target = local[..., : min(n, table.row_extents[j])]
+        if table.unit_rows[j]:
+            target += carry
+        else:
+            target += table.factors[j, : target.shape[-1]] * carry

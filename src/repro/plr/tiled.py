@@ -12,7 +12,9 @@ hierarchy onto a CPU's caches:
   carry spine starts from the global carries the previous tile of the
   same row left behind (``propagate_carries(..., base=)``);
 * the output buffer is the only full-size allocation, and each of its
-  words is written once by the fill and corrected in cache.
+  words is written once by the fill and corrected in cache; the fill,
+  Phase 1 and the correction share two tile-sized scratch buffers
+  (:func:`~repro.plr.phase1.phase1_scratch`) allocated once per solve.
 
 A tile is either several whole rows, when one padded row fits the
 budget, or a run of chunks from one row; either way it is contiguous,
@@ -26,10 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.reference import fir_map
 from repro.obs.tracer import NULL_TRACER
 from repro.plr.factors import CorrectionFactorTable
-from repro.plr.phase1 import phase1_inplace
+from repro.plr.phase1 import phase1_inplace, phase1_scratch
 from repro.plr.phase2 import (
     TILE_BYTES,
     add_carry_products,
@@ -81,18 +82,21 @@ def solve_tiled(
     def link():
         return context.child() if context is not None else None
 
+    tiles = list(_tiles(rows, chunks, m * out.itemsize))
+    tile_chunks = max(((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles), default=0)
+    scratch = phase1_scratch(tile_chunks * m, out.dtype)
     carry = None
-    for r0, r1, c0, c1 in _tiles(rows, chunks, m * out.itemsize):
+    for r0, r1, c0, c1 in tiles:
         tile = out[r0:r1, c0 * m : c1 * m]
         with tracer.span("map_stage", cat="solver", link=link()):
-            _fill(tile, values[r0:r1], c0 * m, ff)
+            _fill(tile, values[r0:r1], c0 * m, ff, scratch[0])
         with tracer.span(
             "phase1",
             cat="solver",
             args={"chunks": tile.size // m} if tracer.enabled else None,
             link=link(),
         ):
-            phase1_inplace(tile.reshape(-1, m), table, x, tracer=tracer)
+            phase1_inplace(tile.reshape(-1, m), table, x, tracer=tracer, scratch=scratch)
         if partial is not None:
             partial[r0:r1, c0 * m : c1 * m] = tile
         with tracer.span("phase2", cat="solver", link=link()):
@@ -102,6 +106,7 @@ def solve_tiled(
                 matrix,
                 carry if c0 else None,
                 tracer,
+                scratch[0],
             )
     trace_lookbacks(tracer, chunks)
     return out, partial
@@ -127,33 +132,60 @@ def _tiles(rows: int, chunks: int, chunk_bytes: int):
             yield r, r + 1, c0, min(c0 + per_tile, chunks)
 
 
-def _fill(tile: np.ndarray, source: np.ndarray, start: int, feedforward) -> None:
+def _fill(
+    tile: np.ndarray, source: np.ndarray, start: int, feedforward, scratch: np.ndarray
+) -> None:
     """Cast and map one (R, w) tile's inputs; zero the padding past n.
 
     ``tile`` covers columns ``start:start + w`` of the ``source`` rows.
-    The map stage runs :func:`~repro.core.reference.fir_map` over a
-    source window beginning p words before the tile, so every kept
-    output sees its full history and sums its terms in the whole-array
-    order.  ``feedforward=None`` is the identity map (a cast copy).
+    The map stage (2) writes ``a_0 * x`` straight into the tile, then
+    adds each later term ``a_j * x[i - j]`` with its history reaching
+    back before the tile, in :func:`~repro.core.reference.fir_map`'s
+    order, so every kept output sums its terms as the whole-array map
+    stage does.  Products are formed in the tile's dtype, in
+    ``scratch`` (at least one tile of words).  ``feedforward=None`` is
+    the identity map (a cast copy).
     """
     stop = min(start + tile.shape[1], source.shape[1])
     valid = stop - start
+    body = tile[:, :valid]
     if feedforward is None:
-        tile[:, :valid] = source[:, start:stop]
+        body[...] = source[:, start:stop]
     else:
-        lo = max(0, start - (len(feedforward) - 1))
-        window = source[:, lo:stop].astype(tile.dtype, copy=False)
-        tile[:, :valid] = fir_map(window, feedforward)[:, start - lo :]
+        if feedforward[0] == 0:
+            body[...] = 0
+        else:
+            _scale(source[:, start:stop], feedforward[0], body)
+        for j in range(1, len(feedforward)):
+            if feedforward[j] == 0:
+                continue
+            skip = max(0, j - start)
+            if skip >= valid:
+                continue
+            terms = body[:, skip:]
+            product = scratch[: terms.size].reshape(terms.shape)
+            _scale(source[:, start + skip - j : stop - j], feedforward[j], product)
+            terms += product
     tile[:, valid:] = 0
 
 
-def _correct(tile, table, matrix, base, tracer) -> np.ndarray:
+def _scale(values: np.ndarray, coeff, out: np.ndarray) -> None:
+    """``out = values * coeff``, both cast to ``out.dtype`` first.
+
+    The products :func:`~repro.core.reference.fir_map` forms after its
+    cast copy (``astype``), computed without that copy.
+    """
+    np.multiply(values, coeff, out=out, dtype=out.dtype, casting="unsafe")
+
+
+def _correct(tile, table, matrix, base, tracer, scratch) -> np.ndarray:
     """Phase 2 on one (R, C, m) tile of Phase 1 output, in place.
 
     ``base`` holds the global carries entering the tile's first chunk
     when the tile continues its row, or None when it starts its rows.
     Returns the global carries leaving the tile's last chunk (of its
-    first row), the ``base`` of the next tile of that row.
+    first row), the ``base`` of the next tile of that row.  Only the
+    table's live columns are corrected.
     """
     locals_ = local_carries(tile, table.order)
     with tracer.span("propagate_carries", cat="phase2"):
@@ -163,8 +195,11 @@ def _correct(tile, table, matrix, base, tracer) -> np.ndarray:
             global_ = propagate_carries(locals_, matrix)
     with tracer.span("apply_global_correction", cat="phase2"):
         if base is None:
-            add_carry_products(tile[:, 1:], global_[:, :-1], table.factors)
+            target, prev = tile[:, 1:], global_[:, :-1]
         else:
+            target = tile
             prev = np.concatenate([base[None, None], global_[:, :-1]], axis=1)
-            add_carry_products(tile, prev, table.factors)
+        add_carry_products(
+            target, prev, table.live_factors, table.unit_rows, scratch
+        )
     return global_[0, -1]

@@ -57,6 +57,7 @@ from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.sampling import SamplingPolicy, TraceLog
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.tracer import coerce_tracer
+from repro.plr.phase1 import doubling_widths
 from repro.plr.planner import plan_execution
 from repro.plr.solver import cached_factor_table
 from repro.serve.protocol import (
@@ -284,10 +285,8 @@ class WarmTables:
         plan = plan_execution(signature, bucket)
         table = cached_factor_table(signature, plan.chunk_size, dtype)
         # Prefix views for every doubling width Phase 1 will use.
-        width = 1
-        while width < plan.chunk_size:
-            table.rows_for_width(min(2 * width, plan.chunk_size))
-            width *= 2
+        for width in doubling_widths(plan.values_per_thread, plan.chunk_size):
+            table.rows_for_width(width)
         self._entries[key] = table
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

@@ -32,13 +32,9 @@ from repro.obs.metrics import (
 from repro.obs.profile import build_profile, profile_simulation
 from repro.obs.tracer import NULL_TRACER, TracePid, Tracer, coerce_tracer
 from repro.plr.optimizer import optimize_factors
-from repro.plr.phase1 import doubling_widths, merge_level, thread_local_solve
-from repro.plr.phase2 import (
-    apply_global_correction,
-    local_carries,
-    propagate_carries,
-    transition_matrix,
-)
+from repro.plr import tiled
+from repro.plr.phase1 import phase1_inplace, phase1_scratch
+from repro.plr.phase2 import transition_matrix
 from repro.plr.solver import PLRSolver, clear_factor_cache, factor_cache_stats
 
 pytestmark = pytest.mark.tier1
@@ -142,30 +138,41 @@ class TestOverhead:
     N = 1 << 20
 
     def _raw_pipeline(self, solver, values, plan, dtype):
-        """The solve re-composed from the un-instrumented kernels."""
+        """The solve re-composed from the tiled pass's own helpers.
+
+        The same steps :func:`repro.plr.tiled.solve_tiled` takes — tile
+        bounds, fill, Phase 1, correction — with the null tracer and no
+        spans, plan or artifacts around them, so the difference to
+        ``solver.solve`` is the instrumentation alone.
+        """
         table = solver.factor_table(plan, dtype)
         optimize_factors(table, solver.optimization)
-        x = plan.values_per_thread
         m = table.chunk_size
-        feedback = [
-            b if isinstance(b, int) else float(b)
-            for b in table.signature.feedback
-        ]
-        work = values.astype(dtype, copy=False).reshape(-1, m).copy()
-        num_chunks = work.shape[0]
-        if x > 1:
-            thread_local_solve(
-                work.reshape(num_chunks * (m // x), x), feedback, x
-            )
-        for width in doubling_widths(x, m):
-            merge_level(
-                work.reshape(num_chunks * (m // (2 * width)), 2 * width),
-                table,
-                width,
-            )
+        rows = values.reshape(1, -1)
+        chunks = rows.shape[1] // m
+        out = np.empty((1, chunks * m), dtype=dtype)
         matrix = transition_matrix(table)
-        global_ = propagate_carries(local_carries(work, table.order), matrix)
-        return apply_global_correction(work, global_, table).reshape(-1)
+        tiles = list(tiled._tiles(1, chunks, m * out.itemsize))
+        tile_chunks = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles)
+        scratch = phase1_scratch(tile_chunks * m, dtype)
+        feedforward = [float(a) for a in solver.recurrence.signature.feedforward]
+        feedforward = None if feedforward == [1] else feedforward
+        carry = None
+        for r0, r1, c0, c1 in tiles:
+            tile = out[r0:r1, c0 * m : c1 * m]
+            tiled._fill(tile, rows[r0:r1], c0 * m, feedforward, scratch[0])
+            phase1_inplace(
+                tile.reshape(-1, m), table, plan.values_per_thread, scratch=scratch
+            )
+            carry = tiled._correct(
+                tile.reshape(r1 - r0, c1 - c0, m),
+                table,
+                matrix,
+                carry if c0 else None,
+                NULL_TRACER,
+                scratch[0],
+            )
+        return out.reshape(-1)
 
     def test_disabled_tracer_under_5_percent(self):
         solver = PLRSolver("(1 : 0.9)")  # tracer=None -> NULL_TRACER

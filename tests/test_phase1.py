@@ -1,14 +1,25 @@
 """Phase 1: iterative pairwise merging and its invariants."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.coefficients import table1_signatures
 from repro.core.reference import serial_recurrence
 from repro.core.signature import Signature
+from repro.obs.tracer import Tracer
 from repro.plr.factors import CorrectionFactorTable
-from repro.plr.phase1 import doubling_widths, merge_level, phase1, thread_local_solve
+from repro.plr.phase1 import (
+    doubling_widths,
+    merge_level,
+    phase1,
+    phase1_inplace,
+    phase1_scratch,
+    thread_local_solve,
+)
 
 PAPER_INPUT = np.array(
     [3, -4, 5, -6, 7, -8, 9, -10, 11, -12, 13, -14, 15, -16, 17, -18, 19, -20, 21, -22],
@@ -223,3 +234,151 @@ class TestBatchedPhase1:
         table = CorrectionFactorTable.build(sig, 8, np.dtype(np.int32))
         with pytest.raises(ValueError):
             phase1(np.zeros((2, 2, 8), dtype=np.int32), table, 1)
+
+
+# ----------------------------------------------------------------------
+# The lane-major, table-pruned Phase 1 against the natural-layout,
+# full-row composition it replaces.
+
+TABLE1 = table1_signatures()
+LANE_XS = [1, 2, 3, 9, 11]
+# import_module: the package repro.plr re-exports a function named phase1.
+phase1_module = import_module("repro.plr.phase1")
+
+
+def natural_phase1(work: np.ndarray, table: CorrectionFactorTable, x: int) -> None:
+    """Phase 1 in natural layout with the full, uncut factor rows.
+
+    The thread-local step and every merge walk the (num_chunks, m)
+    matrix directly and multiply whole factor prefixes, zero tails and
+    all-ones rows included: the arithmetic before lane-major levels and
+    table pruning, in the same order.
+    """
+    k = table.order
+    if np.issubdtype(work.dtype, np.integer):
+        coeffs = [np.asarray(b, dtype=work.dtype) for b in table.signature.feedback]
+    else:
+        coeffs = [work.dtype.type(float(b)) for b in table.signature.feedback]
+    cells = work.reshape(-1, x)
+    for i in range(1, x):
+        for j in range(1, min(i, k) + 1):
+            cells[:, i] += cells[:, i - j] * coeffs[j - 1]
+    for width in doubling_widths(x, table.chunk_size):
+        pairs = work.reshape(-1, 2 * width)
+        for j in range(min(k, width)):
+            pairs[:, width:] += table.factors[j, :width] * pairs[:, width - 1 - j, None]
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    """Equal bit for bit, except that an exact zero's sign may differ:
+    the pruned merges skip ``+= 0 * carry``, which can turn -0 into +0."""
+    assert got.dtype == expected.dtype
+    if got.dtype.kind == "f":
+        zero = got.dtype.type(0)
+        bits = np.dtype(f"u{got.itemsize}")
+        got, expected = (got + zero).view(bits), (expected + zero).view(bits)
+    np.testing.assert_array_equal(got, expected)
+
+
+def lane_cases() -> list:
+    return [
+        pytest.param(name, dtype, id=f"{name}-{np.dtype(dtype).name}")
+        for name, signature in TABLE1.items()
+        for dtype in (np.int32, np.float32, np.float64)
+        if signature.is_integer or not np.issubdtype(dtype, np.integer)
+    ]
+
+
+def lane_inputs(dtype, shape, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if np.issubdtype(dtype, np.integer):
+        return rng.integers(-50, 50, shape).astype(dtype)
+    return rng.standard_normal(shape).astype(dtype)
+
+
+class TestLaneMajorEquivalence:
+    @pytest.mark.parametrize("name,dtype", lane_cases())
+    @pytest.mark.parametrize("x", LANE_XS)
+    @pytest.mark.parametrize("layout", ["one chunk", "five chunks", "three blocks"])
+    def test_matches_natural_full_row_composition(self, name, dtype, x, layout, monkeypatch):
+        m = 64 * x
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), m, dtype)
+        chunks = 1 if layout == "one chunk" else 5
+        if layout == "three blocks":
+            # Blocks of two chunks: 2 + 2 + 1.
+            monkeypatch.setattr(phase1_module, "TILE_BYTES", 2 * m * table.factors.itemsize)
+        work = lane_inputs(dtype, (chunks, m), seed=x * 7 + chunks)
+        expected = work.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            natural_phase1(expected, table, x)
+            phase1_inplace(work, table, x)
+        assert_same_bits(work, expected)
+
+    @pytest.mark.parametrize("lanes_per_chunk", [1, 2, 8, 16])
+    @pytest.mark.parametrize("name", ["prefix_sum", "order3_prefix_sum", "high_pass_3"])
+    def test_chunks_at_or_below_the_lane_width(self, name, lanes_per_chunk):
+        # m <= 8x puts every level (or none) in the lane-major layout.
+        x = 3
+        m = lanes_per_chunk * x
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), m, np.float64)
+        work = lane_inputs(np.float64, (7, m), seed=lanes_per_chunk)
+        expected = work.copy()
+        natural_phase1(expected, table, x)
+        phase1_inplace(work, table, x)
+        assert_same_bits(work, expected)
+
+    def test_caller_scratch_sets_the_block(self):
+        table = CorrectionFactorTable.build(TABLE1["low_pass_2"].recursive_part(), 64 * 9, np.float32)
+        work = lane_inputs(np.float32, (5, table.chunk_size), seed=3)
+        expected = work.copy()
+        natural_phase1(expected, table, 9)
+        phase1_inplace(work, table, 9, scratch=phase1_scratch(2 * table.chunk_size, np.float32))
+        assert_same_bits(work, expected)
+
+
+class TestPrunedFactorRows:
+    @pytest.mark.parametrize("name,dtype", lane_cases())
+    def test_rows_stop_at_width_and_zero_tail(self, name, dtype):
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), 9216, dtype)
+        for width in doubling_widths(9, table.chunk_size):
+            rows = table.rows_for_width(width)
+            assert len(rows) == min(table.order, width)
+            for j, row in enumerate(rows):
+                assert row.size == min(width, table.row_extents[j]) <= width
+                np.testing.assert_array_equal(row, table.factors[j, : row.size])
+                assert not table.factors[j, row.size : width].any()
+                assert row.size == width or row[-1] != 0
+
+    @pytest.mark.parametrize("name", ["low_pass_1", "low_pass_3", "high_pass_2"])
+    def test_float32_stable_filters_decay_inside_the_chunk(self, name):
+        # Denormals are flushed at build, so the tails are exact zeros.
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), 9216, np.float32)
+        assert max(table.row_extents) < 1024
+        assert table.live_factors.shape == (table.order, max(table.row_extents))
+        assert not table.factors[:, max(table.row_extents) :].any()
+
+    def test_unit_rows_are_the_all_ones_rows(self):
+        units = {
+            name: CorrectionFactorTable.build(sig.recursive_part(), 64, np.float64).unit_rows
+            for name, sig in TABLE1.items()
+        }
+        assert units["prefix_sum"] == (True,)
+        assert units["tuple2_prefix_sum"] == (False, False)
+        assert not any(any(flags) for name, flags in units.items() if name != "prefix_sum")
+
+
+class TestLaneMajorTraceContract:
+    @pytest.mark.parametrize("x", [1, 9])
+    def test_one_span_per_level_with_unchanged_args(self, x):
+        m = 64 * x
+        chunks = 3
+        table = CorrectionFactorTable.build(TABLE1["high_pass_2"].recursive_part(), m, np.float32)
+        tracer = Tracer()
+        phase1_inplace(lane_inputs(np.float32, (chunks, m), seed=x), table, x, tracer=tracer)
+        spans = [(e.name, e.args) for e in tracer.events if e.ph == "X"]
+        expected = [("thread_local_solve", {"x": x})] if x > 1 else []
+        expected += [
+            ("merge_level", {"width": w, "pairs": chunks * m // (2 * w)})
+            for w in doubling_widths(x, m)
+        ]
+        assert spans == expected

@@ -19,6 +19,9 @@ from repro.core.errors import ProtocolError
 from repro.core.reference import serial_full
 from repro.core.signature import Signature
 from repro.obs.metrics import MetricsRegistry
+from repro.plr.factors import CorrectionFactorTable
+from repro.plr.phase1 import doubling_widths
+from repro.plr.planner import plan_execution
 from repro.serve import (
     CircuitBreaker,
     PLRServer,
@@ -180,6 +183,23 @@ class TestWarmTables:
         counters = metrics.snapshot()["counters"]
         assert counters["serve.warm.builds"] == 4
         assert counters.get("serve.warm.hits", 0) == 0
+
+    @pytest.mark.parametrize("bucket", [64, 32768, 1 << 20])
+    def test_warms_exactly_the_phase1_widths(self, bucket, monkeypatch):
+        # Phase 1 merges at x, 2x, ..., m/2: x = 1, 2 and 11 here, so
+        # width 1 must be warmed, m must not, and odd widths must be.
+        sig = Signature.parse("(1: 2, -1)")
+        plan = plan_execution(sig, bucket)
+        widths = []
+        original = CorrectionFactorTable.rows_for_width
+        monkeypatch.setattr(
+            CorrectionFactorTable,
+            "rows_for_width",
+            lambda table, width: widths.append(width) or original(table, width),
+        )
+        WarmTables(4, MetricsRegistry()).touch(sig, np.dtype(np.int32), bucket)
+        assert widths == doubling_widths(plan.values_per_thread, plan.chunk_size)
+        assert widths[0] == plan.values_per_thread
 
     def test_zero_capacity_is_inert(self):
         warm = WarmTables(0, MetricsRegistry())

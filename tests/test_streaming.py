@@ -366,3 +366,30 @@ class TestBatchStreamingSolver:
         out = solver.push(np.zeros((2, 0), dtype=np.int32))
         assert out.shape == (2, 0)
         assert solver.state.position == 0
+
+
+class TestCarryFold:
+    """The in-place fold over live prefixes equals the full-row fold."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 500, 4096])
+    def test_matches_full_row_fold(self, dtype, n):
+        from repro.core.coefficients import table1_signatures
+        from repro.plr.solver import cached_factor_table
+        from repro.plr.streaming import _fold_carries
+
+        rng = np.random.default_rng(n)
+        for name, signature in table1_signatures().items():
+            if np.issubdtype(dtype, np.integer) and not signature.is_integer:
+                continue
+            table = cached_factor_table(signature.recursive_part(), 4096, np.dtype(dtype))
+            local = (rng.standard_normal((3, n)) * 100).astype(dtype)
+            carries = (rng.standard_normal((3, table.order)) * 100).astype(dtype)
+            carries[1] = 0  # a stream with no history
+            expected = local.copy()
+            for j in range(table.order):
+                expected = expected + table.factors[j, :n][None, :] * carries[:, j, None]
+            _fold_carries(local, carries, table)
+            # Value-equal: only a skipped `+= 0 * carry` may flip the
+            # sign of an exact zero, which array_equal ignores.
+            np.testing.assert_array_equal(local, expected, err_msg=name)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.batch.solver import BatchSolver
 from repro.core.coefficients import table1_signatures
-from repro.core.reference import serial_full
+from repro.core.reference import fir_map, serial_full
 from repro.core.validation import compare_results
 from repro.obs.tracer import Tracer
 from repro.plr import tiled
@@ -184,3 +184,36 @@ class TestTiledArtifacts:
             artifacts.partial, phase1(padded, artifacts.table, X)
         )
         np.testing.assert_array_equal(out, solver.solve(values, plan=plan, dtype=dtype))
+
+
+class TestTileFill:
+    """The fill maps a tile in place, in fir_map's summation order."""
+
+    @pytest.mark.parametrize(
+        "name,source_dtype,dtype",
+        [
+            (name, source, target)
+            for name, signature in TABLE1.items()
+            for source, target in [
+                (np.int64, np.int32), (np.float64, np.float32), (np.float32, np.float64)
+            ]
+            if signature.is_integer or target is not np.int32
+        ],
+    )
+    def test_equals_fir_map_of_the_cast_source(self, name, source_dtype, dtype, rng):
+        signature = TABLE1[name]
+        if np.issubdtype(source_dtype, np.integer):
+            source = rng.integers(-(2**40), 2**40, (2, 3 * CHUNK - 5))
+        else:
+            # Full-precision values, so the cast to the tile dtype rounds.
+            source = rng.standard_normal((2, 3 * CHUNK - 5)).astype(source_dtype)
+        expected = fir_map(source.astype(dtype), signature.feedforward)
+        feedforward = [float(a) for a in signature.feedforward]
+        scratch = np.empty(2 * CHUNK, dtype=dtype)
+        for start in (0, 1, CHUNK, 2 * CHUNK):
+            tile = np.full((2, CHUNK), 7, dtype=dtype)
+            tiled._fill(tile, source, start, feedforward, scratch)
+            valid = min(CHUNK, source.shape[1] - start)
+            got = tile[:, :valid]
+            np.testing.assert_array_equal(got, expected[:, start : start + valid])
+            assert not tile[:, valid:].any()
