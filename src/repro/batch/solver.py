@@ -78,10 +78,7 @@ class BatchSolver:
         shard_options=None,
         policy=None,
     ) -> None:
-        if isinstance(recurrence, str):
-            recurrence = Recurrence.parse(recurrence)
-        elif isinstance(recurrence, Signature):
-            recurrence = Recurrence(recurrence)
+        recurrence = Recurrence.coerce(recurrence)
         if backend not in ("single", "process", "native", "auto"):
             raise ValueError(
                 f"unknown backend {backend!r}; expected 'single', 'process', "

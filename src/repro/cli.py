@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the process backend / native sharding",
+        help="worker-pool size for isolated re-runs (process backend only)",
     )
     serve_p.add_argument(
         "--self-test",

@@ -75,9 +75,7 @@ class PLRCompiler:
         n: int = 1 << 24,
         dtype: np.dtype | type | None = None,
     ) -> KernelIR:
-        recurrence = (
-            Recurrence.parse(signature) if isinstance(signature, str) else signature
-        )
+        recurrence = Recurrence.coerce(signature)
         return build_ir(
             recurrence,
             n,
@@ -150,9 +148,7 @@ class PLRCompiler:
         from repro.plr.planner import plan_execution
 
         start = time.perf_counter()
-        recurrence = (
-            Recurrence.parse(signature) if isinstance(signature, str) else signature
-        )
+        recurrence = Recurrence.coerce(signature)
         if xs is None:
             cap = 11 if recurrence.is_integer else 9
             xs = tuple(x for x in (1, 2, 4, 8) if x < cap) + (cap,)

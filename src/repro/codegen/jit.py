@@ -57,9 +57,6 @@ class NativeAttempt:
         The kernel's cache digest (``plr_<digest>.so``) when used.
     library_path:
         The loaded shared object when used.
-    sharded:
-        True when the kernel ran per-slab under the multicore sharded
-        backend rather than in-process.
     error:
         The typed error message that forced the numpy fallback, empty
         when ``used``.
@@ -68,7 +65,6 @@ class NativeAttempt:
     used: bool
     digest: str = ""
     library_path: str = ""
-    sharded: bool = False
     error: str = ""
 
 

@@ -45,6 +45,15 @@ class Recurrence:
         """Build a recurrence from a signature string like ``"(1: 1)"``."""
         return cls(Signature.parse(text))
 
+    @classmethod
+    def coerce(cls, recurrence: "Recurrence | Signature | str") -> "Recurrence":
+        """A recurrence from a Recurrence, a Signature or a signature string."""
+        if isinstance(recurrence, str):
+            return cls.parse(recurrence)
+        if isinstance(recurrence, Signature):
+            return cls(recurrence)
+        return recurrence
+
     # ------------------------------------------------------------------
     @cached_property
     def classification(self) -> Classification:

@@ -101,24 +101,6 @@ def _slab_context(context_wire: dict | None) -> TraceContext | None:
     return TraceContext.from_wire(context_wire)
 
 
-def _native_slab_solve(native_so: str, slab: np.ndarray) -> None:
-    """Run a compiled kernel in place over one contiguous slab.
-
-    The generated ``plr_compute`` consumes all of its input in the
-    phase-1 loop before the phase-2 loop writes any output (the loops
-    are separated by a barrier), so aliasing input and output is safe —
-    the shared-memory slab is solved with zero extra copies.
-    """
-    import ctypes
-
-    from repro.codegen.cbackend import load_kernel_library
-
-    lib = load_kernel_library(native_so)
-    flat = slab.reshape(-1)
-    pointer = flat.ctypes.data_as(ctypes.c_void_p)
-    lib.plr_compute(pointer, pointer, ctypes.c_longlong(flat.size))
-
-
 def _phase1_slab_task(
     work_name: str,
     carries_name: str,
@@ -131,7 +113,6 @@ def _phase1_slab_task(
     trace: bool,
     inject: str | None,
     context_wire: dict | None = None,
-    native_so: str | None = None,
 ):
     """Stage A, in a worker: Phase 1 on the slab + its affine summary.
 
@@ -139,14 +120,6 @@ def _phase1_slab_task(
     ``power = M^s`` and ``exit_carries`` are the slab's last global
     carries under zero entering history — together the slab's affine map
     ``G_exit = power @ G_in + exit_carries``.
-
-    With ``native_so`` the compiled kernel solves the slab *completely*
-    (both phases, zero entering history) instead of Phase 1 only.  The
-    affine summary is unchanged — the slab's exit carries under zero
-    history are simply its last ``k`` solved values — and the shared
-    carries rows stay at their creation-time zeros, which makes Stage
-    B's per-chunk propagation from the scanned base compute exactly the
-    homogeneous correction a fully-solved slab still needs.
     """
     _maybe_inject(inject, slab_index)
     tracer = Tracer() if trace else NULL_TRACER
@@ -165,17 +138,13 @@ def _phase1_slab_task(
             with tracer.span(
                 "phase1_slab",
                 cat="parallel",
-                args={"slab": slab_index, "rows": stop - start, "native": bool(native_so)},
+                args={"slab": slab_index, "rows": stop - start},
                 link=slab_ctx,
             ):
-                if native_so is not None:
-                    _native_slab_solve(native_so, slab)
-                else:
-                    phase1_inplace(slab, table, x, tracer=tracer)
+                phase1_inplace(slab, table, x, tracer=tracer)
             matrix = transition_matrix(table)
-            if native_so is None:
-                locals_ = local_carries(slab, table.order)
-                carries[start:stop] = locals_
+            locals_ = local_carries(slab, table.order)
+            carries[start:stop] = locals_
             with tracer.span(
                 "slab_summary",
                 cat="parallel",
@@ -183,10 +152,7 @@ def _phase1_slab_task(
                 link=slab_ctx.child() if slab_ctx is not None else None,
             ):
                 power = np.linalg.matrix_power(matrix, stop - start)
-                if native_so is not None:
-                    exit_carries = local_carries(slab, table.order)[-1].copy()
-                else:
-                    exit_carries = propagate_carries(np.asarray(carries[start:stop]), matrix)[-1].copy()
+                exit_carries = propagate_carries(np.asarray(carries[start:stop]), matrix)[-1].copy()
         events = list(tracer.events)
         work = None
         carries = None
@@ -392,7 +358,6 @@ def solve_sharded(
     options: ShardOptions | None = None,
     tracer=NULL_TRACER,
     context: TraceContext | None = None,
-    native_so: str | None = None,
 ) -> np.ndarray:
     """Run both phases over a padded 1D input across a process pool.
 
@@ -404,16 +369,6 @@ def solve_sharded(
 
     With one slab (or one usable worker) the solve runs inline in this
     process — same arithmetic, no pool overhead.
-
-    ``native_so`` is the path to a compiled kernel (see
-    :func:`repro.codegen.jit.native_kernel`, built from the recursive
-    signature at this table's chunk size): each Stage A worker then runs
-    its slab through ``plr_compute`` in place instead of the numpy
-    Phase 1.  The carry scan and Stage B are unchanged — a slab solved
-    under zero entering history has zero local carries, so Stage B's
-    propagation from the scanned base applies exactly the homogeneous
-    correction that remains.  A kernel that fails to load in a worker
-    surfaces as a typed :class:`~repro.core.errors.BackendError`.
 
     ``context`` names the owning request's trace: stage spans become its
     children and each slab submission carries a wire-encoded child
@@ -434,10 +389,6 @@ def solve_sharded(
         requested = _tuned_workers(padded.size)
     spans = slab_spans(num_chunks, resolve_workers(requested, num_chunks))
     if len(spans) <= 1:
-        if native_so is not None:
-            work = padded.reshape(-1, m).copy()
-            _native_slab_solve(native_so, work)
-            return work
         work = padded.reshape(-1, m).copy()
         phase1_inplace(work, table, x, tracer=tracer)
         return phase2(work, table, tracer=tracer, out=work)
@@ -477,7 +428,6 @@ def solve_sharded(
                     trace,
                     options.inject,
                     p1_ctx.child().to_wire() if p1_ctx is not None else None,
-                    native_so,
                 ): i
                 for i, span in enumerate(spans)
             }
@@ -523,10 +473,6 @@ def solve_sharded(
                     p2_ctx.child().to_wire() if p2_ctx is not None else None,
                 ): i
                 for i, span in enumerate(spans)
-                # A native Stage A solved slab 0 outright (zero entering
-                # history IS its true history) and its shared carries
-                # rows are zero, so its Stage B would be a no-op.
-                if not (native_so is not None and i == 0)
             }
             for slab_index, events in _collect(futures, options.timeout_s, "phase 2"):
                 merge_worker_events(tracer, slab_index, events)

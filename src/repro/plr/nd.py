@@ -39,14 +39,6 @@ from repro.plr.tiled import solve_tiled
 __all__ = ["solve_batch", "filter_axis", "filter2d", "summed_area_table"]
 
 
-def _as_recurrence(recurrence: Recurrence | Signature | str) -> Recurrence:
-    if isinstance(recurrence, str):
-        return Recurrence.parse(recurrence)
-    if isinstance(recurrence, Signature):
-        return Recurrence(recurrence)
-    return recurrence
-
-
 def solve_batch(
     values: np.ndarray,
     recurrence: Recurrence | Signature | str,
@@ -79,7 +71,7 @@ def solve_batch(
         raise ValueError(
             f"unknown backend {backend!r}; expected 'single' or 'process'"
         )
-    recurrence = _as_recurrence(recurrence)
+    recurrence = Recurrence.coerce(recurrence)
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected a 2D (rows, n) array, got shape {values.shape}")

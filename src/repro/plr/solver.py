@@ -216,11 +216,9 @@ class PLRSolver:
         Pool tuning for the process backend: ``workers`` is shorthand
         for ``ShardOptions(workers=...)``; pass a full
         :class:`~repro.parallel.ShardOptions` to also set the stage
-        timeout.  The native backend runs in-process by default (the
-        kernel is already OpenMP-parallel over chunks); setting
-        ``workers`` explicitly makes it shard slabs across a pool with
-        each worker running the compiled kernel on its slab, the carry
-        scan unchanged.  Both are ignored by the single backend.
+        timeout.  The single and native backends ignore both: the
+        native kernel always runs in this process, already
+        OpenMP-parallel over chunks.
     native_fallback:
         Native backend only.  True (default): a
         :class:`~repro.core.errors.BackendError` /
@@ -253,10 +251,7 @@ class PLRSolver:
         native_fallback: bool = True,
         policy=None,
     ) -> None:
-        if isinstance(recurrence, str):
-            recurrence = Recurrence.parse(recurrence)
-        elif isinstance(recurrence, Signature):
-            recurrence = Recurrence(recurrence)
+        recurrence = Recurrence.coerce(recurrence)
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
@@ -377,7 +372,6 @@ class PLRSolver:
                 out, native_record = self._solve_native(
                     self._mapped(values, dtype, tracer, link),
                     n, plan, table, factor_plan, dtype, tracer, link,
-                    shard_options,
                 )
             except (BackendError, CodegenError) as exc:
                 if not self.native_fallback:
@@ -505,10 +499,9 @@ class PLRSolver:
         return decision.backend, shard_options, decision
 
     def _solve_native(
-        self, work, n, plan, table, factor_plan, dtype, tracer, link,
-        shard_options=None,
+        self, work, n, plan, table, factor_plan, dtype, tracer, link
     ):
-        """Run the solve through a JIT-compiled C kernel.
+        """Run the solve through a JIT-compiled C kernel, in this process.
 
         ``work`` is the post-map-stage, unpadded input.  The kernel is
         built from the *recursive-only* signature with one serial cell
@@ -533,50 +526,6 @@ class PLRSolver:
             dtype=dtype,
         )
         kernel = native_kernel(ir)
-        if shard_options is None:
-            shard_options = self.shard_options
-
-        # Sharding is opt-in for the native backend: the kernel already
-        # parallelizes over chunks with OpenMP, so a process pool on top
-        # would oversubscribe unless the caller asked for it.
-        if shard_options.workers is not None:
-            from repro.parallel.backend import solve_sharded
-            from repro.parallel.sharding import resolve_workers, slab_spans
-
-            m = plan.chunk_size
-            num_chunks = plan.padded_n // m
-            spans = slab_spans(
-                num_chunks, resolve_workers(shard_options.workers, num_chunks)
-            )
-            if len(spans) > 1:
-                padded = np.zeros(plan.padded_n, dtype=dtype)
-                padded[:n] = work
-                sharded_ctx = link()
-                with tracer.span(
-                    "solve_sharded",
-                    cat="solver",
-                    args={"chunks": num_chunks, "native": True}
-                    if tracer.enabled
-                    else None,
-                    link=sharded_ctx,
-                ):
-                    corrected = solve_sharded(
-                        padded,
-                        table,
-                        plan.values_per_thread,
-                        options=shard_options,
-                        tracer=tracer,
-                        context=sharded_ctx,
-                        native_so=str(kernel.library_path),
-                    )
-                record = NativeAttempt(
-                    used=True,
-                    digest=kernel.digest,
-                    library_path=str(kernel.library_path),
-                    sharded=True,
-                )
-                return corrected.reshape(-1)[:n], record
-
         with tracer.span(
             "native_kernel",
             cat="solver",
@@ -592,4 +541,4 @@ class PLRSolver:
 
 def plr_solve(signature: str | Signature, values: np.ndarray) -> np.ndarray:
     """One-shot convenience: ``plr_solve("(1: 1)", x)`` -> prefix sum."""
-    return PLRSolver(Recurrence(Signature.parse(signature)) if isinstance(signature, str) else Recurrence(signature)).solve(values)
+    return PLRSolver(signature).solve(values)

@@ -238,10 +238,7 @@ class ResilientSolver:
         shard_options=None,
         context: TraceContext | None = None,
     ) -> None:
-        if isinstance(recurrence, str):
-            recurrence = Recurrence.parse(recurrence)
-        elif isinstance(recurrence, Signature):
-            recurrence = Recurrence(recurrence)
+        recurrence = Recurrence.coerce(recurrence)
         if engine not in ("plr", "sim"):
             raise ValueError(f"engine must be plr|sim, got {engine!r}")
         if backend != "single" and engine == "sim":
@@ -411,24 +408,18 @@ class ResilientSolver:
                     self._record(dtype, plan, seed, "worker", str(exc), t0, attempt_ctx)
                 )
                 self.metrics.counter("resilience.worker_faults").inc()
-                if self._solver.backend in ("process", "native"):
+                if self._solver.backend == "process":
                     # A broken pool is not transient within this solve:
                     # drop to the single-process path and go again
                     # without consuming a retry — same arithmetic, no
-                    # pool to break.  (A sharded *native* solve reaches
-                    # here too when its pool dies; the numpy path is the
-                    # common safe ground.)
-                    failed = self._solver.backend
+                    # pool to break.
                     self._solver = PLRSolver(
                         self.recurrence,
                         machine=self.machine if self.engine == "plr" else None,
                         tracer=self.tracer,
                     )
                     self._degrade(
-                        report,
-                        "process backend failed: single-process fallback"
-                        if failed == "process"
-                        else "native sharded workers failed: single-process fallback",
+                        report, "process backend failed: single-process fallback"
                     )
                     continue
             except BackendError as exc:
@@ -714,8 +705,8 @@ def solve_request(
     degradation that rescues it — stays confined to that request.
     ``dtype`` pins the dtype the request was grouped under; ``context``
     carries the request's trace identity into the chain; ``backend``
-    (with ``workers``/``shard_options``) selects the multicore sharded
-    path for the isolated re-run.
+    selects the isolated re-run's backend, and ``workers`` /
+    ``shard_options`` size its pool when that backend is ``"process"``.
     """
     solver = ResilientSolver(
         recurrence,

@@ -6,7 +6,7 @@ or a Unix socket.  Requests are coalesced into
 micro-batching; robustness is load-bearing: per-request deadlines with
 cooperative cancellation, admission control over a bounded intake
 queue, typed load shedding, a circuit breaker, per-request failure
-isolation, graceful drain, and warm factor-table state.
+isolation, and graceful drain.
 
 See ``docs/serving.md`` for the protocol and semantics, and
 :mod:`repro.serve.chaos` for the hostile-client test harness.
@@ -22,7 +22,7 @@ from repro.serve.protocol import (
     error_reply,
     parse_frame,
 )
-from repro.serve.server import CircuitBreaker, PLRServer, ServeConfig, WarmTables
+from repro.serve.server import CircuitBreaker, PLRServer, ServeConfig
 from repro.serve.client import ServeClient
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ServeConfig",
     "ServerError",
     "SolveFrame",
-    "WarmTables",
     "encode_reply",
     "error_reply",
     "parse_frame",

@@ -30,17 +30,11 @@ at every stage boundary:
    stops accepting connections, rejects new solves, flushes every
    queued request, waits for in-flight replies to be written, snapshots
    its metrics, and only then closes.
-
-Warm state across requests: factor tables (and their per-width
-prefixes) are pinned in a bounded LRU keyed by (signature, dtype,
-bucket), so the hottest signatures never rebuild their tables even if
-the process-wide cache churns under a long mixed workload.
 """
 
 from __future__ import annotations
 
 import asyncio
-import collections
 import json
 import signal
 import time
@@ -57,9 +51,6 @@ from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.sampling import SamplingPolicy, TraceLog
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.tracer import coerce_tracer
-from repro.plr.phase1 import doubling_widths
-from repro.plr.planner import plan_execution
-from repro.plr.solver import cached_factor_table
 from repro.serve.protocol import (
     ControlFrame,
     ServerError,
@@ -74,7 +65,6 @@ __all__ = [
     "PLRServer",
     "SERVE_LATENCY_BUCKETS_MS",
     "ServeConfig",
-    "WarmTables",
 ]
 
 LATENCY_BUCKETS_MS = (
@@ -132,9 +122,6 @@ class ServeConfig:
     min_bucket: int = 64
     """Smallest padded length for the planner's length bucketing."""
 
-    warm_cache_size: int = 32
-    """Entries in the warm factor-table LRU (signature, dtype, bucket)."""
-
     metrics_path: str | None = None
     """When set, the drain path writes the final metrics snapshot here."""
 
@@ -176,7 +163,8 @@ class ServeConfig:
     :mod:`repro.tune`)."""
 
     workers: int | None = None
-    """Worker-pool size forwarded to the backend (isolated re-runs)."""
+    """Worker-pool size for isolated re-runs, process backend only; the
+    single and native backends run in this process."""
 
     def __post_init__(self) -> None:
         if self.backend not in ("single", "native", "process", "auto"):
@@ -254,43 +242,6 @@ class CircuitBreaker:
             if self.opened_at is None:
                 self.trips += 1
             self.opened_at = self.clock()
-
-
-class WarmTables:
-    """Bounded LRU pinning the hottest correction-factor tables.
-
-    The process-wide cache (:func:`repro.plr.solver.cached_factor_table`)
-    is shared by every solver in the process and can evict a hot entry
-    under a long mixed workload.  The server pins its own references —
-    tables are immutable, so holding one costs only memory — keyed by
-    the serving triple (signature, dtype, length bucket), and touches
-    the per-width factor prefixes so a warmed table serves its first
-    request with zero rebuild work.
-    """
-
-    def __init__(self, max_entries: int, metrics: MetricsRegistry) -> None:
-        self.max_entries = max_entries
-        self.metrics = metrics
-        self._entries: collections.OrderedDict = collections.OrderedDict()
-
-    def touch(self, signature, dtype: np.dtype, bucket: int) -> None:
-        if self.max_entries < 1:
-            return
-        key = (signature, np.dtype(dtype).str, bucket)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.metrics.counter("serve.warm.hits").inc()
-            return
-        self.metrics.counter("serve.warm.builds").inc()
-        plan = plan_execution(signature, bucket)
-        table = cached_factor_table(signature, plan.chunk_size, dtype)
-        # Prefix views for every doubling width Phase 1 will use.
-        for width in doubling_widths(plan.values_per_thread, plan.chunk_size):
-            table.rows_for_width(width)
-        self._entries[key] = table
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        self.metrics.gauge("serve.warm.size").set(len(self._entries))
 
 
 class _Pending:
@@ -375,7 +326,6 @@ class PLRServer:
             self.config.breaker_cooldown_s,
             clock=self.clock,
         )
-        self.warm = WarmTables(self.config.warm_cache_size, self.metrics)
         self.final_snapshot: dict | None = None
         self._queue: asyncio.Queue | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -883,7 +833,7 @@ class PLRServer:
                 "serve_flush", cat="serve", args=span_args, link=flush_ctx
             ):
                 outcomes = await asyncio.to_thread(
-                    self._execute_sync, requests, flush_ctx
+                    self.engine.execute, requests, context=flush_ctx
                 )
         except ReproError as exc:
             self._fail_flush(batch, exc)
@@ -900,33 +850,6 @@ class PLRServer:
                 pending.future.set_result(
                     self._outcome_reply(pending.reply_id, outcome)
                 )
-
-    def _execute_sync(
-        self,
-        requests: list[BatchRequest],
-        context: TraceContext | None = None,
-    ) -> list[RequestOutcome]:
-        """Worker-thread body: prewarm hot tables, then execute."""
-        planner = self.engine.planner
-        seen = set()
-        for request in requests:
-            if request.n == 0:
-                continue
-            key = (request.signature, request.dtype.str)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                self.warm.touch(
-                    request.signature,
-                    request.dtype,
-                    planner.bucket_for(request.n),
-                )
-            except ReproError:
-                # Unplannable/overflowing table: the engine's own path
-                # will surface the typed error per request.
-                pass
-        return self.engine.execute(requests, context=context)
 
     def _fail_flush(self, batch: list[_Pending], error: ReproError) -> None:
         """A whole flush failed: typed replies, breaker accounting."""

@@ -60,31 +60,39 @@ def make_values(recurrence: Recurrence, n: int, seed: int = 7) -> np.ndarray:
     return generator.standard_normal(n).astype(np.float32)
 
 
-SERVE_TEST_TIMEOUT_S = 90.0
-"""Hard wall-clock ceiling for one ``serve``-marked test.
+HARD_TIMEOUT_S = 90.0
+"""Hard wall-clock ceiling for one ``serve``- or ``native``-marked test.
 
-The serving layer's failure mode of last resort is a hang — an awaited
-reply that never comes — and a hung asyncio test would otherwise stall
-the whole suite.  A SIGALRM fired from outside the event loop cuts
-through any stuck ``await`` (pytest-timeout is not available in this
-environment, so the guard is implemented here).
+The failure mode of last resort of both layers is a hang: an awaited
+reply that never comes, or a kernel stuck in a parallel region.  Either
+would otherwise stall the whole suite until its stage timeout.  A
+SIGALRM fired from outside the event loop cuts through any stuck
+``await`` (pytest-timeout is not available in this environment, so the
+guard is implemented here).  Native tests take about a second each on
+a 2-vCPU x86_64 machine, so the ceiling leaves a wide margin.
 """
+
+HARD_TIMEOUT_MARKERS = ("serve", "native")
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    if item.get_closest_marker("serve") is None or not hasattr(signal, "SIGALRM"):
+    marker = next(
+        (name for name in HARD_TIMEOUT_MARKERS if item.get_closest_marker(name)),
+        None,
+    )
+    if marker is None or not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def _on_alarm(signum, frame):
         raise TimeoutError(
-            f"hard timeout: {item.nodeid} exceeded {SERVE_TEST_TIMEOUT_S:.0f}s "
-            "(a serving-layer test hung)"
+            f"hard timeout: {item.nodeid} exceeded {HARD_TIMEOUT_S:.0f}s "
+            f"(a {marker}-marked test hung)"
         )
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, SERVE_TEST_TIMEOUT_S)
+    signal.setitimer(signal.ITIMER_REAL, HARD_TIMEOUT_S)
     try:
         yield
     finally:

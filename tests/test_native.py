@@ -2,8 +2,10 @@
 
 Covers the compile-cache hardening (atomic publication, corrupt-``.so``
 recovery, digest over compiler identity and flags), the typed kernel
-contract, the NumPy-equivalence sweep through ``PLRSolver`` and the
-sharded path, and graceful degradation when no compiler exists.
+contract, the NumPy-equivalence sweep through ``PLRSolver``, the native
+backend staying in this process when workers are configured (also
+after an earlier in-process kernel), and graceful degradation when no
+compiler exists.
 
 Everything here carries the ``native`` marker; the whole module skips
 cleanly on machines without a C compiler (the degradation *behaviour*
@@ -197,24 +199,6 @@ class TestNativeEquivalence:
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-10)
 
-    @pytest.mark.parametrize("text", ["(1: 1)", "(1: 2, -1)", "(0.2: 0.8)"])
-    def test_sharded_native_matches_single(self, text):
-        """Sharded native: every worker slab runs through the kernel,
-        the carry scan corrects across slabs, result is unchanged."""
-        recurrence = Recurrence.parse(text)
-        values = make_values(recurrence, 30000)
-        native = PLRSolver(
-            recurrence,
-            backend="native",
-            native_fallback=False,
-            shard_options=ShardOptions(workers=2),
-        )
-        got, artifacts = native.solve_with_artifacts(values)
-        expected = PLRSolver(recurrence).solve(values)
-        assert artifacts.native is not None
-        assert artifacts.native.used and artifacts.native.sharded
-        assert_valid(got, expected, context=f"native-sharded/{text}")
-
     def test_batch_solver_native_matches(self, rng):
         from repro.batch.solver import BatchSolver
 
@@ -222,6 +206,51 @@ class TestNativeEquivalence:
         native = BatchSolver("(1: 2, -1)", backend="native")
         single = BatchSolver("(1: 2, -1)")
         np.testing.assert_array_equal(native.solve(values), single.solve(values))
+
+
+class TestNativeAfterInProcessSolve:
+    """``workers`` configure the process backend only: native always
+    runs its kernel in this process.  A pool forked after an in-process
+    kernel inherits libgomp's thread-pool state and deadlocks in its
+    first parallel region, so each test runs an in-process solve first
+    and must then finish well inside the 10 s stage timeout."""
+
+    OPTIONS = ShardOptions(workers=2, timeout_s=10)
+
+    @pytest.fixture(autouse=True)
+    def _in_process_solve_first(self):
+        recurrence = Recurrence.parse("(1: 2, -1)")
+        PLRSolver(recurrence, backend="native", native_fallback=False).solve(
+            make_values(recurrence, 30000)
+        )
+
+    @pytest.mark.parametrize("text", ["(1: 1)", "(1: 2, -1)", "(0.2: 0.8)"])
+    def test_workers_leave_native_in_process(self, text):
+        recurrence = Recurrence.parse(text)
+        values = make_values(recurrence, 30000)
+        native = PLRSolver(
+            recurrence,
+            backend="native",
+            native_fallback=False,
+            shard_options=self.OPTIONS,
+        )
+        got, artifacts = native.solve_with_artifacts(values)
+        assert artifacts.native is not None and artifacts.native.used
+        assert_valid(got, PLRSolver(recurrence).solve(values), context=f"native/{text}")
+
+    def test_resilient_native_isolation_path(self):
+        """The server's isolated re-run: one ok attempt, no degradation."""
+        from repro.resilience.solver import ResilientSolver
+
+        recurrence = Recurrence.parse("(1: 2, -1)")
+        values = make_values(recurrence, 30000)
+        report = ResilientSolver(
+            recurrence, backend="native", shard_options=self.OPTIONS
+        ).solve_with_report(values)
+        assert report.ok
+        assert [attempt.outcome for attempt in report.attempts] == ["ok"]
+        assert report.degradations == []
+        assert_valid(report.output, PLRSolver(recurrence).solve(values))
 
 
 class TestDegradation:

@@ -1,4 +1,4 @@
-"""The serving layer: protocol, breaker, warm state, and a live server.
+"""The serving layer: protocol, breaker, and a live server.
 
 Every test that runs a real asyncio server is marked ``serve`` and
 therefore rides the hard SIGALRM timeout installed in conftest — the
@@ -19,15 +19,11 @@ from repro.core.errors import ProtocolError
 from repro.core.reference import serial_full
 from repro.core.signature import Signature
 from repro.obs.metrics import MetricsRegistry
-from repro.plr.factors import CorrectionFactorTable
-from repro.plr.phase1 import doubling_widths
-from repro.plr.planner import plan_execution
 from repro.serve import (
     CircuitBreaker,
     PLRServer,
     ServeClient,
     ServeConfig,
-    WarmTables,
     ControlFrame,
     SolveFrame,
     encode_reply,
@@ -158,53 +154,6 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.open and breaker.trips == 2
-
-
-class TestWarmTables:
-    def test_build_once_then_hits(self):
-        metrics = MetricsRegistry()
-        warm = WarmTables(4, metrics)
-        sig = Signature.parse("(1: 2, -1)")
-        warm.touch(sig, np.dtype(np.int32), 64)
-        warm.touch(sig, np.dtype(np.int32), 64)
-        counters = metrics.snapshot()["counters"]
-        assert counters["serve.warm.builds"] == 1
-        assert counters["serve.warm.hits"] == 1
-
-    def test_lru_bound_evicts_oldest(self):
-        metrics = MetricsRegistry()
-        warm = WarmTables(2, metrics)
-        sig = Signature.parse("(1: 1)")
-        for bucket in (64, 128, 256):
-            warm.touch(sig, np.dtype(np.int64), bucket)
-        assert len(warm._entries) == 2
-        # 64 was evicted: touching it again is a rebuild, not a hit.
-        warm.touch(sig, np.dtype(np.int64), 64)
-        counters = metrics.snapshot()["counters"]
-        assert counters["serve.warm.builds"] == 4
-        assert counters.get("serve.warm.hits", 0) == 0
-
-    @pytest.mark.parametrize("bucket", [64, 32768, 1 << 20])
-    def test_warms_exactly_the_phase1_widths(self, bucket, monkeypatch):
-        # Phase 1 merges at x, 2x, ..., m/2: x = 1, 2 and 11 here, so
-        # width 1 must be warmed, m must not, and odd widths must be.
-        sig = Signature.parse("(1: 2, -1)")
-        plan = plan_execution(sig, bucket)
-        widths = []
-        original = CorrectionFactorTable.rows_for_width
-        monkeypatch.setattr(
-            CorrectionFactorTable,
-            "rows_for_width",
-            lambda table, width: widths.append(width) or original(table, width),
-        )
-        WarmTables(4, MetricsRegistry()).touch(sig, np.dtype(np.int32), bucket)
-        assert widths == doubling_widths(plan.values_per_thread, plan.chunk_size)
-        assert widths[0] == plan.values_per_thread
-
-    def test_zero_capacity_is_inert(self):
-        warm = WarmTables(0, MetricsRegistry())
-        warm.touch(Signature.parse("(1: 1)"), np.dtype(np.int32), 64)
-        assert len(warm._entries) == 0
 
 
 class TestServeConfig:
