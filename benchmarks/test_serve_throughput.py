@@ -62,7 +62,7 @@ def test_pipelined_stream_coalesces_and_stays_correct():
     async def run() -> tuple[float, list[dict], dict]:
         metrics = MetricsRegistry()
         server = PLRServer(
-            ServeConfig(port=0, max_batch=B, flush_ms=5.0, min_bucket=64),
+            ServeConfig(port=0, max_batch=B, flush_ms=5.0),
             metrics=metrics,
         )
         await server.start()
@@ -109,7 +109,7 @@ def test_bench_pipelined_stream(benchmark):
     async def session() -> None:
         metrics = MetricsRegistry()
         server = PLRServer(
-            ServeConfig(port=0, max_batch=B, flush_ms=5.0, min_bucket=64),
+            ServeConfig(port=0, max_batch=B, flush_ms=5.0),
             metrics=metrics,
         )
         await server.start()

@@ -6,21 +6,24 @@ request alone repeats per-call overhead (planning, factor-table lookup,
 Python dispatch) that the paper's GPU amortizes across a whole grid.
 This package amortizes it the same way on the numpy substrate:
 
-* :class:`~repro.batch.solver.BatchSolver` — B independent inputs that
-  share a signature solved in one vectorized (B, n) pass: Phase 1
-  merges every (row, chunk) pair at once and Phase 2's carry spine
-  advances all rows per chunk step, with no per-request Python loop;
+* :class:`~repro.batch.solver.BatchSolver` — independent inputs that
+  share a signature solved in one pass.  Ragged rows are packed into
+  one grid of chunks whose carry spine restarts at each row, and each
+  output equals its solo solve under the batch's plan bit for bit; a
+  (B, n) matrix advances every row's spine per chunk step instead;
 * :class:`~repro.batch.planner.BatchPlanner` — groups a mixed queue
-  into homogeneous sub-batches keyed by (signature, dtype) and
-  length-bucketed with right-padding, so each group builds its
-  correction-factor table once via the process-wide LRU cache;
+  into sub-batches keyed by (signature, dtype, the chunk size of each
+  request's own plan), so each group builds its correction-factor
+  table once via the process-wide LRU cache and runs as one packed
+  pass planned for its longest member;
 * :class:`~repro.batch.engine.BatchEngine` — the queue front end:
   grouped passes, per-request failure isolation through the resilience
   chain, ``batch.*`` metrics, and per-group trace spans.
 
-The invariant the tests pin: every outcome matches what a per-request
-:class:`~repro.plr.solver.PLRSolver` would produce — exactly for
-integer dtypes, to a tight ulp bound for floats.
+The invariant the tests pin: a request served by a single-backend
+grouped pass equals what a per-request
+:class:`~repro.plr.solver.PLRSolver` produces for it, bit for bit,
+floats included — the group's plan has the request's own chunk size.
 """
 
 from repro.batch.engine import BatchEngine, RequestOutcome, execute_batch

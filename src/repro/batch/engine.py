@@ -4,8 +4,8 @@
 :mod:`repro.batch`: it takes a mixed queue of
 :class:`~repro.batch.planner.BatchRequest`\\ s, lets the
 :class:`~repro.batch.planner.BatchPlanner` group them into homogeneous
-(signature, dtype, padded-length) sub-batches, runs each group through
-one vectorized :class:`~repro.batch.solver.BatchSolver` pass, and
+(signature, dtype, chunk size) sub-batches, runs each group through one packed
+:class:`~repro.batch.solver.BatchSolver` pass over its ragged rows, and
 returns one :class:`RequestOutcome` per request in submission order.
 
 Failure isolation is per request: if a grouped pass raises a typed
@@ -17,7 +17,9 @@ while its batch-mates keep their fast vectorized result.
 
 The engine publishes ``batch.*`` metrics (request/group counters, a
 group-size histogram, padding-waste and isolation counters) and emits
-one ``batch_group`` span per grouped pass when traced.
+one ``batch_group`` span per grouped pass when traced.  The padding
+counted is the zero words the packed pass computes: each row rounds
+its length plus the map stage's FIR order up to whole chunks.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class BatchEngine:
 
         # Shed requests that expired while queued *before* batch
         # formation: an expired request must not influence grouping or
-        # bucketing, and its work must never run.
+        # a group's plan, and its work must never run.
         for index, request in enumerate(requests):
             if outcomes[index] is None and self._expired(request):
                 outcomes[index] = self._shed(request, index, "expired in queue")
@@ -173,7 +175,6 @@ class BatchEngine:
         self.metrics.counter("batch.groups").inc(len(groups))
         for group in groups:
             self.metrics.histogram("batch.group_size").observe(group.batch_size)
-            self.metrics.counter("batch.padded_values").inc(group.padding)
             self._run_group(group, outcomes, context)
 
         assert all(o is not None for o in outcomes)
@@ -236,26 +237,24 @@ class BatchEngine:
     ) -> None:
         # Cooperative cancellation checkpoint: requests that expired
         # between planning and this group's turn are shed now, and the
-        # group shrinks to its live members before any solving happens.
-        expired_rows = [
+        # group shrinks to its live members (and is planned for the
+        # longest of them) before any solving happens.
+        expired = {
             row for row, request in enumerate(group.requests)
             if self._expired(request)
-        ]
-        if expired_rows:
-            for row in expired_rows:
+        }
+        if expired:
+            for row in sorted(expired):
                 index = group.indices[row]
                 outcomes[index] = self._shed(
                     group.requests[row], index, "expired awaiting its group"
                 )
-            live = [
-                row for row in range(group.batch_size) if row not in set(expired_rows)
-            ]
+            live = [row for row in range(group.batch_size) if row not in expired]
             if not live:
                 return
             group = BatchGroup(
                 signature=group.signature,
                 dtype=group.dtype,
-                bucket=group.bucket,
                 requests=[group.requests[row] for row in live],
                 indices=[group.indices[row] for row in live],
             )
@@ -267,7 +266,6 @@ class BatchEngine:
                 "dtype": group.dtype.name,
                 "batch": group.batch_size,
                 "bucket": group.bucket,
-                "padding": group.padding,
             }
             member_traces = sorted(
                 {r.trace.trace_id for r in group.requests if r.trace is not None}
@@ -292,12 +290,20 @@ class BatchEngine:
                 else "single",
             )
             try:
+                plan = solver.plan_for(group.bucket)
+                padding = group.padding(plan.chunk_size)
+                self.metrics.counter("batch.padded_values").inc(padding)
+                if span_args is not None:
+                    # Read when the span closes.
+                    span_args["padding"] = padding
                 # Overflow in one row is expected occasionally and the
                 # per-row health check below is the detector; keep numpy
                 # quiet during the grouped pass, like the resilience
                 # chain does for its attempts.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    stacked = solver.solve(group.stacked(), dtype=group.dtype)
+                    outputs = solver.solve(
+                        group.stacked(), plan=plan, dtype=group.dtype
+                    )
             except ReproError as exc:
                 # The whole pass failed with a typed error (factor table
                 # predicted to overflow, lossy integer coefficients...).
@@ -327,7 +333,7 @@ class BatchEngine:
                         engine="shed",
                     )
                     continue
-                output = stacked[row, : request.n].copy()
+                output = outputs[row][: request.n].copy()
                 if floating and not np.isfinite(output).all():
                     outcomes[index] = self._isolate(
                         group, request, index, "non-finite row output", group_ctx

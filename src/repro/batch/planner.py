@@ -1,23 +1,22 @@
 """Grouping a mixed request queue into homogeneous sub-batches.
 
 The batched engine (:mod:`repro.batch.engine`) only wins when many
-requests share one vectorized pass, but a realistic queue mixes
-signatures, dtypes, and lengths.  :class:`BatchPlanner` turns such a
-queue into :class:`BatchGroup`\\ s that are homogeneous in all three:
+requests share one pass, but a realistic queue mixes signatures,
+dtypes, and lengths.  :class:`BatchPlanner` keys requests by
+``(signature, dtype, m)``: the signature and dtype decide which
+correction-factor table and which arithmetic a solve uses, and m is the
+chunk size of the request's own plan (the paper's planner on the
+default machine, :func:`~repro.plr.planner.plan_execution`).  Each group
+builds its table exactly once through the process-wide LRU cache
+(:func:`repro.plr.solver.cached_factor_table`).
 
-* requests are keyed by ``(signature, dtype)`` — the pair that decides
-  which correction-factor table and which arithmetic a solve uses, so
-  each group builds its table exactly once through the process-wide
-  LRU cache (:func:`repro.plr.solver.cached_factor_table`);
-* within a key, lengths are bucketed to the next power of two (floor
-  ``min_bucket``) and every request is right-padded with zeros to the
-  bucket length.  Trailing zeros never influence earlier outputs, so
-  slicing each padded row back to its true length is exact — the same
-  argument the single-request solver uses for its chunk padding.
-
-Bucketing trades a bounded amount of padding (< 2x, and the planner
-reports exactly how much) for far fewer groups than exact-length
-matching would produce on scattered lengths.
+Lengths of one chunk size share a group.  The solver packs a group's
+rows into one grid of chunks, each row starting on a chunk boundary,
+and restarts the carry spine at every row
+(:func:`repro.plr.tiled.packed_starts`).  The group is planned for its
+longest row, its :attr:`BatchGroup.bucket`, whose plan has every
+member's chunk size, so every row computes as its own solve does and
+pads fewer than m words.
 """
 
 from __future__ import annotations
@@ -26,23 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.errors import PlanError
 from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
+from repro.plr.planner import plan_execution
+from repro.plr.tiled import row_chunks
 
-__all__ = ["BatchRequest", "BatchGroup", "BatchPlanner", "DEFAULT_MIN_BUCKET"]
-
-DEFAULT_MIN_BUCKET = 64
-"""Smallest padded length: below this, padding costs less than the
-group fragmentation exact lengths would cause."""
-
-
-def _as_signature(signature: Recurrence | Signature | str) -> Signature:
-    if isinstance(signature, str):
-        return Signature.parse(signature)
-    if isinstance(signature, Recurrence):
-        return signature.signature
-    return signature
+__all__ = ["BatchRequest", "BatchGroup", "BatchPlanner"]
 
 
 @dataclass
@@ -75,7 +65,7 @@ class BatchRequest:
     lanes) under it so one request reconstructs as one trace tree."""
 
     def __post_init__(self) -> None:
-        self.signature = _as_signature(self.signature)
+        self.signature = Recurrence.coerce(self.signature).signature
         self.values = np.asarray(self.values)
         if self.values.ndim != 1:
             raise ValueError(
@@ -98,7 +88,7 @@ class BatchRequest:
 
 @dataclass
 class BatchGroup:
-    """Requests sharing (signature, dtype, padded length) — one pass.
+    """Requests sharing (signature, dtype, m) — one packed pass.
 
     ``indices`` are positions in the original queue, so outcomes can be
     reassembled in submission order.
@@ -106,7 +96,6 @@ class BatchGroup:
 
     signature: Signature
     dtype: np.dtype
-    bucket: int
     requests: list[BatchRequest] = field(default_factory=list)
     indices: list[int] = field(default_factory=list)
 
@@ -115,47 +104,48 @@ class BatchGroup:
         return len(self.requests)
 
     @property
-    def padding(self) -> int:
-        """Total zero-padded elements across the group (waste metric)."""
-        return sum(self.bucket - r.n for r in self.requests)
+    def bucket(self) -> int:
+        """The longest member's length: the group is planned for it."""
+        return max((r.n for r in self.requests), default=0)
 
-    def stacked(self) -> np.ndarray:
-        """The (B, bucket) right-padded input matrix, group dtype."""
-        out = np.zeros((len(self.requests), self.bucket), dtype=self.dtype)
-        for row, request in enumerate(self.requests):
-            out[row, : request.n] = np.asarray(request.values, dtype=self.dtype)
-        return out
+    def padding(self, chunk_size: int) -> int:
+        """Zero words the packed pass computes beyond the members' values.
+
+        Each member takes whole chunks of ``chunk_size``
+        (:func:`~repro.plr.tiled.row_chunks`).
+        """
+        return sum(
+            row_chunks(r.n, chunk_size) * chunk_size - r.n for r in self.requests
+        )
+
+    def stacked(self) -> list[np.ndarray]:
+        """The members' values cast to the group dtype, unpadded."""
+        return [np.asarray(r.values, dtype=self.dtype) for r in self.requests]
+
+
+def _chunk_size(signature: Signature, n: int) -> int | None:
+    """The chunk size of a length-n request's own plan; None when it
+    has none (the group's pass then raises the typed PlanError)."""
+    try:
+        return plan_execution(signature, n).chunk_size
+    except PlanError:
+        return None
 
 
 class BatchPlanner:
-    """Groups a request queue into homogeneous, padded sub-batches.
+    """Groups a request queue into (signature, dtype, m) sub-batches.
 
     Parameters
     ----------
-    min_bucket:
-        Smallest padded length; lengths round up to the next power of
-        two at or above this floor.
     max_batch:
         Optional cap on requests per group — groups beyond it split (in
-        submission order), bounding the memory of one stacked pass.
+        submission order), bounding the memory of one packed pass.
     """
 
-    def __init__(
-        self, min_bucket: int = DEFAULT_MIN_BUCKET, max_batch: int | None = None
-    ) -> None:
-        if min_bucket < 1:
-            raise ValueError(f"min_bucket must be >= 1, got {min_bucket}")
+    def __init__(self, max_batch: int | None = None) -> None:
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.min_bucket = min_bucket
         self.max_batch = max_batch
-
-    def bucket_for(self, n: int) -> int:
-        """The padded length for a request of n values."""
-        bucket = self.min_bucket
-        while bucket < n:
-            bucket *= 2
-        return bucket
 
     def plan(self, requests: list[BatchRequest]) -> list[BatchGroup]:
         """Group the queue; empty requests (n=0) are skipped entirely.
@@ -164,17 +154,18 @@ class BatchPlanner:
         keep their submission order within a group.
         """
         groups: dict[tuple, BatchGroup] = {}
+        chunk_sizes: dict[tuple, int | None] = {}
         for index, request in enumerate(requests):
             if request.n == 0:
                 continue
-            bucket = self.bucket_for(request.n)
-            key = (request.signature, request.dtype.str, bucket)
+            shape = (request.signature, request.n)
+            if shape not in chunk_sizes:
+                chunk_sizes[shape] = _chunk_size(*shape)
+            key = (request.signature, request.dtype.str, chunk_sizes[shape])
             group = groups.get(key)
             if group is None:
                 group = groups[key] = BatchGroup(
-                    signature=request.signature,
-                    dtype=request.dtype,
-                    bucket=bucket,
+                    signature=request.signature, dtype=request.dtype
                 )
             group.requests.append(request)
             group.indices.append(index)
@@ -188,7 +179,6 @@ class BatchPlanner:
                     BatchGroup(
                         signature=group.signature,
                         dtype=group.dtype,
-                        bucket=group.bucket,
                         requests=group.requests[start:stop],
                         indices=group.indices[start:stop],
                     )

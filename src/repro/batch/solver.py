@@ -1,19 +1,26 @@
 """The vectorized batch solver: B independent inputs, one pass.
 
-:class:`BatchSolver` is the (B, n) counterpart of
+:class:`BatchSolver` is the batch counterpart of
 :class:`~repro.plr.solver.PLRSolver`: every row is an independent
 sequence with its own zero history, computed under one shared execution
-plan and one shared correction-factor table.  There is no per-request
-Python loop anywhere on the path — Phase 1 merges all (row, chunk)
-pairs at once and Phase 2's carry spine advances every row per chunk
-step (see :func:`repro.plr.nd.solve_batch`, which this class wraps with
-planning, tracing, and empty-input handling).
+plan and one shared correction-factor table, in one pass of
+:func:`repro.plr.nd.solve_batch`, which this class wraps with planning,
+tracing, and empty-input handling.  It takes either of two shapes:
 
-Equivalence contract: for any row, ``BatchSolver.solve(batch)[i]``
-equals ``PLRSolver.solve(batch[i])`` under the same plan — exactly for
-integer dtypes (wrap-around arithmetic is chunking-invariant), and to
-within a few ulps for floats (the spine uses a matrix product where the
-single-request path uses a matrix-vector product).
+* a sequence of 1-D rows of any lengths — the batch engine's shape.
+  The rows are packed into one grid of chunks, planned for the longest
+  row, and solved in one tiled pass whose carry spine restarts at each
+  row.  Every output equals ``PLRSolver.solve(row, plan=plan)`` bit for
+  bit, floats included.  Python touches each row a few times (to place
+  it, fill it and slice its output), each step a numpy call on the
+  whole row;
+* a (B, n) array, with no per-row Python at all.  Phase 1 merges all
+  (row, chunk) pairs at once and Phase 2's carry spine advances every
+  row per chunk step.  Row i equals ``PLRSolver.solve(batch[i])`` under
+  the same plan exactly for integer dtypes (wrap-around arithmetic is
+  chunking-invariant), and to within a few ulps for floats (the spine
+  uses a matrix product where the single-request path uses a
+  matrix-vector product).
 """
 
 from __future__ import annotations
@@ -25,14 +32,14 @@ from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.gpusim.spec import MachineSpec
 from repro.obs.tracer import coerce_tracer
-from repro.plr.nd import solve_batch
+from repro.plr.nd import ragged_batch, solve_batch
 from repro.plr.planner import ExecutionPlan, plan_execution
 
 __all__ = ["BatchSolver"]
 
 
 class BatchSolver:
-    """Computes one recurrence over a (B, n) batch in a single pass.
+    """Computes one recurrence over a batch of rows in a single pass.
 
     Parameters
     ----------
@@ -41,15 +48,16 @@ class BatchSolver:
         computes.
     machine:
         The GPU whose planning heuristics to follow (default: the
-        paper's Titan X) — rows share one plan chosen for the common
-        row length.
+        paper's Titan X) — rows share one plan chosen for the longest
+        row.
     tracer:
         Observability hook (``True`` / a shared tracer / ``None``).
     backend:
         ``"single"`` (default) vectorizes in this process;
-        ``"process"`` shards the batch axis across a multicore pool —
-        rows are independent, so workers need no carry exchange at all
-        (see :func:`repro.parallel.solve_batch_sharded`);
+        ``"process"`` shards the batch axis of a (B, n) array across a
+        multicore pool — rows are independent, so workers need no carry
+        exchange at all (see :func:`repro.parallel.solve_batch_sharded`);
+        ragged rows take the packed single pass instead;
         ``"native"`` runs each row through the JIT-compiled C kernel
         (:mod:`repro.codegen.jit` — one compile per (signature, plan,
         dtype), then a dict lookup per row), degrading to the
@@ -102,27 +110,33 @@ class BatchSolver:
 
     def solve(
         self,
-        values: np.ndarray,
+        values,
         plan: ExecutionPlan | None = None,
         dtype: np.dtype | None = None,
-    ) -> np.ndarray:
+    ) -> np.ndarray | list[np.ndarray]:
         """Compute the recurrence over every row of ``values``.
 
-        ``values`` has shape (B, n); returns the same shape.  B = 0 or
-        n = 0 short-circuits to an empty result (the planner cannot —
+        ``values`` is a (B, n) array, which returns the same shape, or a
+        list or tuple of 1-D rows of any lengths, which returns a list
+        of outputs planned for the longest row.  No rows, or rows of
+        length 0, short-circuit to empty results (the planner cannot —
         and need not — plan a zero-length solve).
         """
-        values = np.asarray(values)
-        if values.ndim != 2:
-            raise ValueError(
-                f"expected a 2D (batch, n) array, got shape {values.shape}"
-            )
-        rows, n = values.shape
-        if dtype is None:
-            dtype = resolve_dtype(self.recurrence.signature, values.dtype)
-        dtype = np.dtype(dtype)
+        if isinstance(values, (list, tuple)):
+            values, n, dtype = ragged_batch(values, self.recurrence.signature, dtype)
+            rows = len(values)
+        else:
+            values = np.asarray(values)
+            if values.ndim != 2:
+                raise ValueError(
+                    f"expected a 2D (batch, n) array, got shape {values.shape}"
+                )
+            rows, n = values.shape
+            if dtype is None:
+                dtype = resolve_dtype(self.recurrence.signature, values.dtype)
+            dtype = np.dtype(dtype)
         if rows == 0 or n == 0:
-            return values.astype(dtype)
+            return solve_batch(values, self.recurrence, dtype=dtype)
         backend = self.backend
         if backend == "auto":
             backend = self._resolve_auto(n, dtype)
@@ -155,11 +169,11 @@ class BatchSolver:
             )
 
     def _resolve_auto(self, n: int, dtype) -> str:
-        """One tuning decision for the whole batch (rows share a shape).
+        """One tuning decision for the whole batch.
 
-        The decision is per (signature class, row length, dtype) — the
-        grouped pass already guarantees homogeneous rows, so one lookup
-        steers every row.  Never raises; a cold table resolves to the
+        The decision is per (signature class, row length, dtype), looked
+        up once for the batch's longest row ``n``; it steers every row,
+        however short.  Never raises; a cold table resolves to the
         static heuristics (see :class:`repro.tune.TuningPolicy`).
         """
         from repro.tune.policy import default_policy
@@ -182,11 +196,12 @@ class BatchSolver:
         """Row loop through the compiled kernel; ``None`` → numpy pass.
 
         The kernel solves one sequence at a time, so the batch is a
-        Python loop over rows — the per-row overhead is one memoized
-        cache lookup plus the ctypes call, and the kernel itself is far
-        faster than the vectorized pass, so the loop still wins for the
-        row lengths the batch engine buckets.  Any typed backend failure
-        degrades the whole group to the vectorized numpy pass.
+        Python loop over rows, each at its own length — the per-row
+        overhead is one memoized cache lookup plus the ctypes call, and
+        the kernel itself is far faster than the vectorized pass.  A
+        list of rows returns a list; a (B, n) array returns the stacked
+        (B, n) result.  Any typed backend failure degrades the whole
+        group to the vectorized numpy pass.
         """
         from repro.core.errors import BackendError, CodegenError
         from repro.obs.metrics import global_metrics
@@ -208,9 +223,11 @@ class BatchSolver:
             ):
                 rows = [
                     self._native_solver.solve(row, plan=plan, dtype=dtype)
+                    if row.size
+                    else np.zeros(0, dtype=dtype)
                     for row in values
                 ]
-            return np.stack(rows)
+            return rows if isinstance(values, list) else np.stack(rows)
         except (BackendError, CodegenError):
             global_metrics().counter("native.fallbacks").inc()
             return None

@@ -220,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap requests per grouped pass (default: unbounded)",
     )
-    batch_p.add_argument(
-        "--min-bucket",
-        type=int,
-        default=64,
-        help="smallest padded length for length bucketing (default: 64)",
-    )
 
     bench_p = sub.add_parser(
         "bench",
@@ -829,9 +823,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for lineno, line in enumerate(text.splitlines(), 1)
         if line.strip()
     ]
-    engine = BatchEngine(
-        planner=BatchPlanner(min_bucket=args.min_bucket, max_batch=args.max_batch)
-    )
+    engine = BatchEngine(planner=BatchPlanner(max_batch=args.max_batch))
     start = time.perf_counter()
     outcomes = engine.execute(requests)
     elapsed = time.perf_counter() - start

@@ -17,6 +17,7 @@ published constants so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 __all__ = ["MachineSpec"]
 
@@ -67,8 +68,13 @@ class MachineSpec:
         return self.num_sms * max(1, self.max_threads_per_sm // block_size)
 
     @classmethod
+    @cache
     def titan_x(cls) -> "MachineSpec":
-        """The GeForce GTX Titan X exactly as Section 5 describes it."""
+        """The GeForce GTX Titan X exactly as Section 5 describes it.
+
+        Built once: the spec is frozen, and planning without a machine
+        asks for it on every call.
+        """
         return cls(
             name="GeForce GTX Titan X (Maxwell)",
             num_sms=24,

@@ -9,7 +9,9 @@ machinery:
   algorithm is unchanged; the win is that Phase 1's merges and Phase
   2's carry spine vectorize across the batch (the per-chunk-index loop
   advances *every* row simultaneously), so filtering a 4096-row image
-  costs barely more Python overhead than one row.
+  costs barely more Python overhead than one row.  Rows of different
+  lengths are packed into one grid of chunks whose carry spine
+  restarts at each row.
 * :func:`filter_axis` — apply a recurrence along either axis of a 2D
   array (rows are independent sequences, exactly how Alg3/Rec treat
   scanlines).
@@ -34,7 +36,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.plr.phase1 import check_integer_coefficients, phase1  # noqa: F401
 from repro.plr.planner import ExecutionPlan, plan_execution
 from repro.plr.solver import cached_factor_table
-from repro.plr.tiled import solve_tiled
+from repro.plr.tiled import packed_starts, solve_tiled
 
 __all__ = ["solve_batch", "filter_axis", "filter2d", "summed_area_table"]
 
@@ -66,12 +68,22 @@ def solve_batch(
     pool (:func:`repro.parallel.solve_batch_sharded`): rows are
     independent, so each worker completes its rows end to end with no
     carry exchange; ``shard_options`` tunes the pool.
+
+    ``values`` may instead be a list or tuple of 1-D rows of any
+    lengths; a list of outputs comes back.  The plan defaults to the
+    longest row's.  The rows are packed into one grid of chunks
+    (:func:`~repro.plr.tiled.packed_starts`) and solved in one tiled
+    pass whose carry spine restarts at each row, so every output equals
+    ``PLRSolver.solve(row, plan=plan)`` bit for bit.  Ragged rows always
+    take this single pass; ``backend`` applies to (rows, n) arrays.
     """
     if backend not in ("single", "process"):
         raise ValueError(
             f"unknown backend {backend!r}; expected 'single' or 'process'"
         )
     recurrence = Recurrence.coerce(recurrence)
+    if isinstance(values, (list, tuple)):
+        return _solve_ragged(values, recurrence, dtype, plan, tracer)
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected a 2D (rows, n) array, got shape {values.shape}")
@@ -111,6 +123,49 @@ def solve_batch(
         tracer=tracer,
     )
     return out[:, :n]
+
+
+def ragged_batch(
+    values, signature: Signature, dtype=None
+) -> tuple[list[np.ndarray], int, np.dtype]:
+    """Check a sequence of 1-D rows: the rows as arrays, the longest
+    length, and the working dtype (``dtype``, else the one the rows'
+    common dtype resolves to)."""
+    rows = [np.asarray(row) for row in values]
+    if any(row.ndim != 1 for row in rows):
+        raise ValueError("expected a sequence of 1D rows")
+    if dtype is None:
+        source = np.result_type(*{row.dtype for row in rows}) if rows else np.float32
+        dtype = resolve_dtype(signature, source)
+    return rows, max((row.size for row in rows), default=0), np.dtype(dtype)
+
+
+def _solve_ragged(
+    values, recurrence: Recurrence, dtype, plan, tracer
+) -> list[np.ndarray]:
+    """:func:`solve_batch` over a sequence of 1-D rows of any lengths."""
+    rows, n, dtype = ragged_batch(values, recurrence.signature, dtype)
+    if n == 0:
+        return [np.zeros(0, dtype=dtype) for _ in rows]
+    check_integer_coefficients(
+        recurrence.signature.feedforward + recurrence.signature.feedback, dtype
+    )
+    if plan is None:
+        plan = plan_execution(recurrence.signature, n)
+    m = plan.chunk_size
+    table = cached_factor_table(recurrence.recursive_signature, m, dtype)
+    filled = [row for row in rows if row.size]
+    starts = packed_starts([row.size for row in filled], m)
+    out, _ = solve_tiled(
+        filled, recurrence.signature.feedforward, table, plan.values_per_thread,
+        tracer=tracer, row_starts=starts,
+    )
+    offsets = iter(starts)
+    outputs = []
+    for row in rows:
+        start = next(offsets) * m if row.size else 0
+        outputs.append(out[0, start : start + row.size])
+    return outputs
 
 
 def filter_axis(

@@ -22,6 +22,8 @@ itself, including out-of-order chunk completion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.core.nnacci import carry_transition_matrix
@@ -82,7 +84,10 @@ def local_carries(partial: np.ndarray, order: int) -> np.ndarray:
 
 
 def propagate_carries(
-    locals_: np.ndarray, matrix: np.ndarray, base: np.ndarray | None = None
+    locals_: np.ndarray,
+    matrix: np.ndarray,
+    base: np.ndarray | None = None,
+    restarts: list[int] | None = None,
 ) -> np.ndarray:
     """Sequentially compute global carries for every chunk.
 
@@ -99,18 +104,34 @@ def propagate_carries(
     ``locals_`` may carry leading batch axes before (num_chunks, k);
     the spine then walks the chunk axis once while every batch row's
     matrix-vector product runs in the same vectorized step.
+
+    ``restarts`` (one spine only) is the sorted list of chunks that
+    start a new sequence of a packed batch: they take ``G_c = L_c``
+    with no product from the chunk before, and the loop visits only the
+    chunks that continue a sequence.  The default
+    restarts at chunk 0 alone, or nowhere when ``base`` is given.  When
+    the products are exact in any grouping (integer dtypes, or k = 1;
+    see :func:`elementwise_products`), the sequences advance together,
+    one chunk of each per step.
     """
     num_chunks = locals_.shape[-2]
     out = np.empty_like(locals_)
     if num_chunks == 0:
         return out
     if locals_.ndim == 2:
-        if base is None:
-            out[0] = locals_[0]
-        else:
-            out[0] = locals_[0] + matrix @ base
-        for c in range(1, num_chunks):
-            out[c] = locals_[c] + matrix @ out[c - 1]
+        if restarts is None:
+            restarts = [] if base is not None else [0]
+        runs = list(continuing_runs(0, num_chunks, restarts))
+        if len(runs) > 1 and elementwise_products(locals_.dtype, matrix.shape[0]):
+            out[restarts] = locals_[restarts]
+            _lockstep(out, locals_, matrix, base, runs)
+            return out
+        for c in restarts:
+            out[c] = locals_[c]
+        for a, b in runs:
+            prev = out[a - 1] if a else base
+            for c in range(a, b):
+                prev = out[c] = locals_[c] + matrix @ prev
         return out
     transposed = matrix.T
     if base is None:
@@ -120,6 +141,40 @@ def propagate_carries(
     for c in range(1, num_chunks):
         out[..., c, :] = locals_[..., c, :] + out[..., c - 1, :] @ transposed
     return out
+
+
+def _lockstep(out, locals_, matrix, base, runs) -> None:
+    """The spine over several runs of chunks at once, in place.
+
+    Step s computes chunk ``a + s`` of every run ``[a, b)`` longer than
+    s from the chunk before it (``base`` for a run starting at chunk 0).
+    """
+    firsts = np.array([a for a, _ in runs])
+    lengths = np.array([b - a for a, b in runs])
+    order = np.argsort(-lengths, kind="stable")
+    firsts, lengths = firsts[order], lengths[order]
+    # Runs still advancing at each step: a prefix, as lengths descend.
+    live = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    prev = out[firsts - 1]
+    if base is not None:
+        prev[firsts == 0] = base
+    transposed = matrix.T
+    for step, count in enumerate(live.tolist()):
+        chunks = firsts[:count] + step
+        prev = out[chunks] = locals_[chunks] + prev[:count] @ transposed
+
+
+def continuing_runs(first: int, stop: int, restarts):
+    """Maximal ``[a, b)`` chunk ranges in ``[first, stop)`` that skip
+    every chunk in the sorted ``restarts``: the chunks that continue a
+    sequence."""
+    a = first
+    for r in restarts:
+        if r > a:
+            yield a, r
+        a = max(a, r + 1)
+    if a < stop:
+        yield a, stop
 
 
 def lookback_combine(
@@ -151,6 +206,17 @@ larger chunk matrices in blocks of the same size.
 :func:`add_carry_products` bounds its scratch by the same budget, so
 the in-place correction never re-creates the second ``(chunks, m)``
 array it exists to avoid (pinned by the tracemalloc regression test)."""
+
+
+def elementwise_products(dtype, order: int) -> bool:
+    """Whether :func:`add_carry_products` adds broadcast products.
+
+    True for integer dtypes and for one carry (k = 1).  Each output
+    word then depends only on its own carry and factor, so the result
+    does not depend on which chunks share a call; a float matmul's
+    rounding can depend on the block it runs in.
+    """
+    return order == 1 or np.issubdtype(dtype, np.integer)
 
 
 def add_carry_products(
@@ -190,7 +256,7 @@ def add_carry_products(
         block = max(1, TILE_BYTES // (row_words * target.dtype.itemsize))
         scratch = np.empty(min(block, num_rows) * row_words, dtype=target.dtype)
     block = scratch.size // row_words
-    per_row = factors.shape[0] == 1 or np.issubdtype(target.dtype, np.integer)
+    per_row = elementwise_products(target.dtype, factors.shape[0])
     for start in range(0, num_rows, block):
         stop = min(start + block, num_rows)
         rows = target[..., start:stop, :width]
@@ -238,37 +304,45 @@ def apply_global_correction(
     return out
 
 
-def trace_lookbacks(tracer, num_chunks: int) -> None:
+def trace_lookbacks(tracer, num_chunks: int, row_starts=(0,)) -> None:
     """Emit the sequential spine's look-back events for one solve.
 
-    Chunks 1..num_chunks-1 each take their predecessor's global carries
-    (distance 1).  Up to :data:`LOOKBACK_SUMMARY_THRESHOLD` corrected
-    chunks, every chunk emits one ``lookback`` instant (cat ``phase2``,
-    tid = chunk id, args chunk/base/distance); larger runs emit a single
-    ``lookback_summary`` instant carrying the chunk count instead,
-    keeping the traced hot path O(1) in Python.  ``num_chunks`` counts
-    the chunks of one sequence, so a batched or tiled solve emits the
-    same events as one whole-array Phase 2.
+    Every chunk that continues a sequence takes its predecessor's
+    global carries (distance 1); the chunks in the sorted
+    ``row_starts`` begin a sequence (chunk 0 of an unpacked solve, each
+    row's first chunk of a packed one) and emit nothing.  Up to
+    :data:`LOOKBACK_SUMMARY_THRESHOLD` corrected chunks, every one
+    emits one ``lookback`` instant (cat ``phase2``, tid = chunk id,
+    args chunk/base/distance); more emit a single ``lookback_summary``
+    instant carrying the first corrected chunk and the count instead,
+    found in O(log rows) Python steps.  ``num_chunks`` counts the
+    chunks of one sequence (or one packed row), so a batched or tiled
+    solve emits the same events as one whole-array Phase 2.
     """
     if not tracer.enabled:
         return
-    corrected = num_chunks - 1
+    corrected = num_chunks - len(row_starts)
     if corrected > LOOKBACK_SUMMARY_THRESHOLD:
+        # Chunks 0..i-1 all start rows exactly when row_starts[i] > i.
+        first = bisect_left(
+            range(len(row_starts)), True, key=lambda i: row_starts[i] > i
+        )
         tracer.instant(
             "lookback_summary",
             cat="phase2",
             pid=TracePid.HOST,
-            args={"first_chunk": 1, "chunks": corrected, "distance": 1},
+            args={"first_chunk": first, "chunks": corrected, "distance": 1},
         )
         return
-    for c in range(1, num_chunks):
-        tracer.instant(
-            "lookback",
-            cat="phase2",
-            pid=TracePid.HOST,
-            tid=c,
-            args={"chunk": c, "base": c - 1, "distance": 1},
-        )
+    for a, b in continuing_runs(0, num_chunks, row_starts):
+        for c in range(a, b):
+            tracer.instant(
+                "lookback",
+                cat="phase2",
+                pid=TracePid.HOST,
+                tid=c,
+                args={"chunk": c, "base": c - 1, "distance": 1},
+            )
 
 
 def phase2(

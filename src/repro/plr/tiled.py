@@ -22,9 +22,20 @@ so Phase 1's chunk-matrix reshape stays a view.  Every element sees the
 arithmetic of the whole-array phases — the map stage's summation order,
 the same merges, the same spine recursion — so integer results are
 bit-identical to them.
+
+Rows of different lengths run as one *packed* row instead
+(:func:`packed_starts`): each starts on a chunk boundary and is filled
+from its own values alone, and the pass restarts the carry spine at
+every row's first chunk (``row_starts``), a segmented recurrence over
+one grid of chunks.  Tiles cut every row on its own grid, so each
+packed row sees exactly the arithmetic of its solo solve under the same
+plan.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,13 +45,31 @@ from repro.plr.phase1 import phase1_inplace, phase1_scratch
 from repro.plr.phase2 import (
     TILE_BYTES,
     add_carry_products,
+    continuing_runs,
+    elementwise_products,
     local_carries,
     propagate_carries,
     trace_lookbacks,
     transition_matrix,
 )
 
-__all__ = ["solve_tiled"]
+__all__ = ["packed_starts", "row_chunks", "solve_tiled"]
+
+
+def row_chunks(n: int, chunk_size: int) -> int:
+    """Chunks a row of n values takes in a packed pass."""
+    return -(-n // chunk_size)
+
+
+def packed_starts(sizes, chunk_size: int) -> list[int]:
+    """The chunk where each row of a packed pass begins.
+
+    Rows of the given (non-zero) ``sizes`` follow each other in order,
+    each taking :func:`row_chunks` chunks; pass the result to
+    :func:`solve_tiled` as ``row_starts`` and read row r's output at
+    ``out[0, starts[r] * m :][:n_r]``.
+    """
+    return list(accumulate((row_chunks(n, chunk_size) for n in sizes[:-1]), initial=0))
 
 
 def solve_tiled(
@@ -51,6 +80,7 @@ def solve_tiled(
     tracer=NULL_TRACER,
     context=None,
     keep_partial: bool = False,
+    row_starts: list[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Solve every row of a (B, n) matrix in one pass over cache-sized tiles.
 
@@ -68,10 +98,23 @@ def solve_tiled(
     and ``apply_global_correction`` inside); the look-back events are
     emitted once per solve (:func:`~repro.plr.phase2.trace_lookbacks`).
     ``context`` parents the tile spans under a request-scoped trace.
+
+    ``row_starts`` (from :func:`packed_starts`) makes ``values`` a
+    sequence of non-empty 1-D rows, solved as one packed ``(1, P)``
+    row.  Each row's chunks are filled from its own values, so its map
+    stage sees a zero history as in its solo solve.  A chunk that
+    starts a row takes its local carries as its global ones and gets no
+    correction; every other chunk is handled as in an unpacked row, and
+    only those emit look-back events.
     """
-    rows, n = values.shape
     m = table.chunk_size
-    chunks = -(-n // m)
+    if row_starts is None:
+        rows, n = values.shape
+        chunks = -(-n // m)
+        starts = [0]
+    else:
+        rows, starts = 1, row_starts
+        chunks = starts[-1] + row_chunks(values[-1].size, m) if starts else 0
     out = np.empty((rows, chunks * m), dtype=table.dtype)
     partial = np.empty_like(out) if keep_partial else None
     matrix = transition_matrix(table)
@@ -82,14 +125,17 @@ def solve_tiled(
     def link():
         return context.child() if context is not None else None
 
-    tiles = list(_tiles(rows, chunks, m * out.itemsize))
+    tiles = list(_tiles(rows, chunks, m * out.itemsize, starts))
     tile_chunks = max(((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles), default=0)
     scratch = phase1_scratch(tile_chunks * m, out.dtype)
     carry = None
     for r0, r1, c0, c1 in tiles:
         tile = out[r0:r1, c0 * m : c1 * m]
         with tracer.span("map_stage", cat="solver", link=link()):
-            _fill(tile, values[r0:r1], c0 * m, ff, scratch[0])
+            if row_starts is None:
+                _fill(tile, values[r0:r1], c0 * m, ff, scratch[0])
+            else:
+                _fill_packed(tile, values, starts, c0, c1, ff, scratch[0])
         with tracer.span(
             "phase1",
             cat="solver",
@@ -99,6 +145,10 @@ def solve_tiled(
             phase1_inplace(tile.reshape(-1, m), table, x, tracer=tracer, scratch=scratch)
         if partial is not None:
             partial[r0:r1, c0 * m : c1 * m] = tile
+        restarts = None
+        if row_starts is not None:
+            inside = starts[bisect_left(starts, c0) : bisect_left(starts, c1)]
+            restarts = [start - c0 for start in inside]
         with tracer.span("phase2", cat="solver", link=link()):
             carry = _correct(
                 tile.reshape(r1 - r0, c1 - c0, m),
@@ -107,21 +157,38 @@ def solve_tiled(
                 carry if c0 else None,
                 tracer,
                 scratch[0],
+                restarts,
             )
-    trace_lookbacks(tracer, chunks)
+    trace_lookbacks(tracer, chunks, starts)
     return out, partial
 
 
-def _tiles(rows: int, chunks: int, chunk_bytes: int):
+def _tiles(rows: int, chunks: int, chunk_bytes: int, row_starts=(0,)):
     """``(r0, r1, c0, c1)`` bounds of every tile, in solve order.
 
     Whole rows share a tile when one padded row fits the budget;
     longer rows are cut into runs of chunks.  A chunk larger than the
-    budget is a tile on its own.
+    budget is a tile on its own.  The rows of a packed input
+    (``row_starts``) share tiles the same way: each is cut into runs
+    counted from its own first chunk, and consecutive runs share a tile
+    while they fit.  Every row then meets the correction's matrix
+    products in the same blocks as its solo solve, which keeps float
+    outputs bit-identical to it.
     """
     if chunks == 0:
         return
     per_tile = max(1, TILE_BYTES // chunk_bytes)
+    if rows == 1:
+        c0 = c1 = 0
+        for start, end in zip(row_starts, [*row_starts[1:], chunks]):
+            for a in range(start, end, per_tile):
+                b = min(a + per_tile, end)
+                if b - c0 > per_tile:
+                    yield 0, 1, c0, c1
+                    c0 = a
+                c1 = b
+        yield 0, 1, c0, c1
+        return
     if chunks <= per_tile:
         step = per_tile // chunks
         for r0 in range(0, rows, step):
@@ -169,6 +236,28 @@ def _fill(
     tile[:, valid:] = 0
 
 
+def _fill_packed(
+    tile: np.ndarray, rows, starts, c0: int, c1: int, feedforward, scratch
+) -> None:
+    """:func:`_fill` for chunks ``c0:c1`` of a packed row.
+
+    Every row's part of the tile is filled from that row alone, at its
+    offset in the row, exactly as its solo solve fills it.
+    """
+    m = tile.shape[1] // (c1 - c0)
+    for i in range(bisect_right(starts, c0) - 1, bisect_left(starts, c1)):
+        row = rows[i]
+        a = max(starts[i], c0)
+        b = min(starts[i] + row_chunks(row.size, m), c1)
+        _fill(
+            tile[:, (a - c0) * m : (b - c0) * m],
+            row[None],
+            (a - starts[i]) * m,
+            feedforward,
+            scratch,
+        )
+
+
 def _scale(values: np.ndarray, coeff, out: np.ndarray) -> None:
     """``out = values * coeff``, both cast to ``out.dtype`` first.
 
@@ -178,11 +267,14 @@ def _scale(values: np.ndarray, coeff, out: np.ndarray) -> None:
     np.multiply(values, coeff, out=out, dtype=out.dtype, casting="unsafe")
 
 
-def _correct(tile, table, matrix, base, tracer, scratch) -> np.ndarray:
+def _correct(tile, table, matrix, base, tracer, scratch, restarts=None) -> np.ndarray:
     """Phase 2 on one (R, C, m) tile of Phase 1 output, in place.
 
     ``base`` holds the global carries entering the tile's first chunk
     when the tile continues its row, or None when it starts its rows.
+    ``restarts`` lists the tile's chunks that start a packed row (R = 1
+    only), in order: they keep their local carries and are not
+    corrected.  None is an unpacked tile.
     Returns the global carries leaving the tile's last chunk (of its
     first row), the ``base`` of the next tile of that row.  Only the
     table's live columns are corrected.
@@ -190,16 +282,43 @@ def _correct(tile, table, matrix, base, tracer, scratch) -> np.ndarray:
     locals_ = local_carries(tile, table.order)
     with tracer.span("propagate_carries", cat="phase2"):
         if tile.shape[0] == 1:
-            global_ = propagate_carries(locals_[0], matrix, base=base)[None]
+            global_ = propagate_carries(
+                locals_[0], matrix, base=base, restarts=restarts
+            )[None]
         else:
             global_ = propagate_carries(locals_, matrix)
     with tracer.span("apply_global_correction", cat="phase2"):
         if base is None:
-            target, prev = tile[:, 1:], global_[:, :-1]
+            first, prev = 1, global_[:, :-1]
         else:
-            target = tile
+            first = 0
             prev = np.concatenate([base[None, None], global_[:, :-1]], axis=1)
-        add_carry_products(
-            target, prev, table.live_factors, table.unit_rows, scratch
-        )
+        factors = table.live_factors
+        # prev[:, c - first] feeds chunk c.  A packed tile corrects
+        # each run of chunks that continue a row with its own call, so
+        # a float matmul meets every row in the block its solo solve
+        # uses; broadcast products do not depend on the block, so there
+        # the continuing chunks of all rows are corrected in one call
+        # on a gathered copy of their live columns.
+        runs = list(continuing_runs(first, tile.shape[1], restarts or ()))
+        if len(runs) > 1 and elementwise_products(tile.dtype, table.order):
+            keep = np.ones(tile.shape[1], dtype=bool)
+            keep[:first] = False
+            keep[restarts] = False
+            chunks = np.flatnonzero(keep)
+            width = factors.shape[-1]
+            target = tile[:, chunks, :width]
+            add_carry_products(
+                target, prev[:, chunks - first], factors, table.unit_rows, scratch
+            )
+            tile[:, chunks, :width] = target
+        else:
+            for a, b in runs:
+                add_carry_products(
+                    tile[:, a:b],
+                    prev[:, a - first : b - first],
+                    factors,
+                    table.unit_rows,
+                    scratch,
+                )
     return global_[0, -1]

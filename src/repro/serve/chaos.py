@@ -230,9 +230,7 @@ class _phase_server:
         metrics = MetricsRegistry()
         config = ServeConfig(**config_kwargs)
         engine = FaultyEngine(
-            planner=BatchPlanner(
-                min_bucket=config.min_bucket, max_batch=config.max_batch
-            ),
+            planner=BatchPlanner(max_batch=config.max_batch),
             metrics=metrics,
             schedule=self.schedule,
         )
@@ -253,7 +251,7 @@ class _phase_server:
 async def _phase_pipelined(report: ServerChaosReport, rng, requests: int) -> None:
     table = table1_signatures()
     names = sorted(table)
-    async with _phase_server(flush_ms=2.0, min_bucket=16) as ctx:
+    async with _phase_server(flush_ms=2.0) as ctx:
         client = await ServeClient.connect(ctx.server.address)
         sent = []
         for i in range(requests):
@@ -279,7 +277,7 @@ async def _phase_pipelined(report: ServerChaosReport, rng, requests: int) -> Non
 
 
 async def _phase_malformed(report: ServerChaosReport) -> None:
-    async with _phase_server(max_line_bytes=4096, min_bucket=16) as ctx:
+    async with _phase_server(max_line_bytes=4096) as ctx:
         frames = [
             b"this is not json\n",
             b"[1, 2, 3]\n",
@@ -342,7 +340,7 @@ async def _phase_malformed(report: ServerChaosReport) -> None:
 
 
 async def _phase_slowloris(report: ServerChaosReport) -> None:
-    async with _phase_server(read_timeout_s=0.25, min_bucket=16) as ctx:
+    async with _phase_server(read_timeout_s=0.25) as ctx:
         loris = await ServeClient.connect(ctx.server.address)
         start = time.monotonic()
         # Dribble an endless, never-terminated frame.
@@ -384,7 +382,7 @@ async def _phase_slowloris(report: ServerChaosReport) -> None:
 async def _phase_deadline_storm(
     report: ServerChaosReport, rng, requests: int
 ) -> None:
-    async with _phase_server(flush_ms=1.0, min_bucket=16, max_batch=4) as ctx:
+    async with _phase_server(flush_ms=1.0, max_batch=4) as ctx:
         ctx.schedule.delay_s = 0.03  # every flush is slow
         client = await ServeClient.connect(ctx.server.address)
         sent = []
@@ -425,9 +423,7 @@ async def _phase_deadline_storm(
 
 
 async def _phase_overload(report: ServerChaosReport, requests: int) -> None:
-    async with _phase_server(
-        flush_ms=1.0, min_bucket=16, max_batch=2, max_queue=4
-    ) as ctx:
+    async with _phase_server(flush_ms=1.0, max_batch=2, max_queue=4) as ctx:
         ctx.schedule.delay_s = 0.08
         client = await ServeClient.connect(ctx.server.address)
         values = np.arange(1, 17, dtype=np.int32)
@@ -467,7 +463,6 @@ async def _phase_worker_death(report: ServerChaosReport) -> None:
     threshold = 3
     async with _phase_server(
         flush_ms=1.0,
-        min_bucket=16,
         breaker_threshold=threshold,
         breaker_cooldown_s=0.25,
     ) as ctx:
@@ -518,7 +513,7 @@ async def _phase_worker_death(report: ServerChaosReport) -> None:
 
 
 async def _phase_disconnect(report: ServerChaosReport) -> None:
-    async with _phase_server(flush_ms=1.0, min_bucket=16) as ctx:
+    async with _phase_server(flush_ms=1.0) as ctx:
         ctx.schedule.delay_s = 0.05
         values = np.arange(1, 33, dtype=np.int32)
         # Vanish before reading any reply.
@@ -537,7 +532,7 @@ async def _phase_disconnect(report: ServerChaosReport) -> None:
 
 
 async def _phase_drain(report: ServerChaosReport) -> None:
-    async with _phase_server(flush_ms=5.0, min_bucket=16) as ctx:
+    async with _phase_server(flush_ms=5.0) as ctx:
         ctx.schedule.delay_s = 0.02
         client = await ServeClient.connect(ctx.server.address)
         sent = []

@@ -16,7 +16,7 @@ at every stage boundary:
    in the intake queue: the batcher flushes when the window closes or
    ``max_batch`` requests are pending, whichever comes first, so light
    traffic sees latency ≈ flush window and heavy traffic sees full
-   buckets (adaptive micro-batching).
+   batches (adaptive micro-batching).
 4. **Execution** — a flush runs through the
    :class:`~repro.batch.engine.BatchEngine` in a worker thread: grouped
    vectorized passes, per-request failure isolation via the resilience
@@ -95,7 +95,7 @@ class ServeConfig:
     frame arriving at a full queue is shed with a typed OverloadError."""
 
     max_batch: int = 64
-    """Flush as soon as this many requests are pending (full bucket)."""
+    """Flush as soon as this many requests are pending (full batch)."""
 
     flush_ms: float = 5.0
     """Micro-batch window: the longest an admitted request waits for
@@ -118,9 +118,6 @@ class ServeConfig:
     """Idle-read limit per connection — the slow-loris guard.  A client
     that neither completes a frame nor goes quiet-but-honest EOF within
     this window is disconnected."""
-
-    min_bucket: int = 64
-    """Smallest padded length for the planner's length bucketing."""
 
     metrics_path: str | None = None
     """When set, the drain path writes the final metrics snapshot here."""
@@ -294,10 +291,7 @@ class PLRServer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = coerce_tracer(tracer)
         self.engine = engine or BatchEngine(
-            planner=BatchPlanner(
-                min_bucket=self.config.min_bucket,
-                max_batch=self.config.max_batch,
-            ),
+            planner=BatchPlanner(max_batch=self.config.max_batch),
             metrics=self.metrics,
             tracer=self.tracer,
             backend=self.config.backend,
@@ -376,7 +370,7 @@ class PLRServer:
             from repro.plr.solver import PLRSolver
 
             solver = PLRSolver("(1: 1)", backend="native", native_fallback=False)
-            solver.solve(np.ones(max(self.config.min_bucket, 2), dtype=np.int32))
+            solver.solve(np.ones(64, dtype=np.int32))
         except Exception:  # noqa: BLE001 — warmup is best-effort
             self.metrics.counter("serve.native_warmup_failures").inc()
             return

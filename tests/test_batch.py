@@ -19,11 +19,17 @@ from repro.batch import (
     BatchSolver,
     execute_batch,
 )
+from repro.core.coefficients import table1_signatures
 from repro.core.errors import NumericalError
+from repro.core.recurrence import Recurrence
 from repro.core.validation import assert_valid
+from repro.obs.tracer import Tracer
+from repro.plr.phase2 import TILE_BYTES
 from repro.plr.solver import PLRSolver, clear_factor_cache, factor_cache_stats
 from repro.resilience.solver import FallbackPolicy
 from tests.conftest import make_values
+
+TABLE1 = table1_signatures()
 
 
 def per_request(signature, values, dtype=None):
@@ -91,54 +97,70 @@ class TestBatchSolverEquivalence:
 
 
 class TestBatchPlanner:
-    def test_groups_by_signature_dtype_and_bucket(self):
-        planner = BatchPlanner(min_bucket=64)
+    def test_groups_by_signature_dtype_and_chunk_size(self):
+        planner = BatchPlanner()
         requests = [
             BatchRequest("(1: 1)", np.arange(10, dtype=np.int32)),
-            BatchRequest("(1: 1)", np.arange(50, dtype=np.int32)),
             BatchRequest("(1: 1)", np.arange(100, dtype=np.int32)),
+            BatchRequest("(1: 1)", np.arange(50, dtype=np.int32)),
             BatchRequest("(1: 2, -1)", np.arange(10, dtype=np.int32)),
             BatchRequest("(1: 1)", np.arange(10, dtype=np.float32)),
+            BatchRequest("(1: 1)", np.arange(50000, dtype=np.int32)),
         ]
         groups = planner.plan(requests)
-        # (1:1)/int32/64 holds two requests; the 100-long request lands
-        # in the 128 bucket; the other signature and the float dtype
-        # each get their own group.
-        assert len(groups) == 4
-        sizes = sorted(g.batch_size for g in groups)
-        assert sizes == [1, 1, 1, 2]
-        by_bucket = {g.bucket for g in groups}
-        assert by_bucket == {64, 128}
+        # Lengths of one chunk size share a group: (1:1)/int32 holds its
+        # three short requests (m = 1024); the other signature and the
+        # float dtype each get their own group, and so does the row
+        # whose own plan takes m = 2048.
+        assert [g.batch_size for g in groups] == [3, 1, 1, 1]
+        assert [g.indices for g in groups] == [[0, 1, 2], [3], [4], [5]]
+        # Each group is planned for its longest member, whose plan has
+        # every member's chunk size.
+        assert [g.bucket for g in groups] == [100, 10, 10, 50000]
+        solver = BatchSolver("(1: 1)")
+        for group in groups:
+            m = solver.plan_for(group.bucket).chunk_size
+            assert all(solver.plan_for(r.n).chunk_size == m for r in group.requests)
+        assert solver.plan_for(groups[-1].bucket).chunk_size == 2048
 
-    def test_bucket_rounds_to_power_of_two(self):
-        planner = BatchPlanner(min_bucket=64)
-        assert planner.bucket_for(1) == 64
-        assert planner.bucket_for(64) == 64
-        assert planner.bucket_for(65) == 128
-        assert planner.bucket_for(1000) == 1024
-
-    def test_padding_accounting_and_stacking(self):
-        planner = BatchPlanner(min_bucket=8)
+    def test_padding_counts_packed_chunks_and_stacking(self):
+        planner = BatchPlanner()
         requests = [
-            BatchRequest("(1: 1)", np.arange(1, 6, dtype=np.int32)),
+            BatchRequest("(1: 1)", np.arange(1, 6, dtype=np.int64), dtype=np.int32),
             BatchRequest("(1: 1)", np.arange(1, 8, dtype=np.int32)),
+            BatchRequest("(1: 1)", np.arange(1, 10, dtype=np.int32)),
         ]
         (group,) = planner.plan(requests)
-        assert group.bucket == 8
-        assert group.padding == (8 - 5) + (8 - 7)
+        assert group.bucket == 9
+        # Every row rounds up to whole 8-word chunks.
+        assert group.padding(8) == (8 - 5) + (8 - 7) + (16 - 9)
         stacked = group.stacked()
-        assert stacked.shape == (2, 8)
-        assert np.array_equal(stacked[0], [1, 2, 3, 4, 5, 0, 0, 0])
-        assert np.array_equal(stacked[1], [1, 2, 3, 4, 5, 6, 7, 0])
+        assert [row.dtype for row in stacked] == [np.int32] * 3
+        assert [row.tolist() for row in stacked] == [
+            [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7], list(range(1, 10))
+        ]
+
+    def test_rows_with_a_map_stage_pad_to_whole_chunks_only(self):
+        # Each row's map stage reads only its own values, so rows need
+        # no gap: 7 words take one 8-word chunk, 8 words exactly one.
+        planner = BatchPlanner()
+        requests = [
+            BatchRequest("(0.5, 0.5: 0.9)", np.ones(n, dtype=np.float32))
+            for n in (7, 8)
+        ]
+        (group,) = planner.plan(requests)
+        assert group.padding(8) == (8 - 7) + 0
 
     def test_max_batch_splits_in_order(self):
-        planner = BatchPlanner(min_bucket=8, max_batch=2)
+        planner = BatchPlanner(max_batch=2)
         requests = [
-            BatchRequest("(1: 1)", np.full(4, i, dtype=np.int32)) for i in range(5)
+            BatchRequest("(1: 1)", np.full(4 + i, i, dtype=np.int32)) for i in range(5)
         ]
         groups = planner.plan(requests)
         assert [g.batch_size for g in groups] == [2, 2, 1]
         assert [g.indices for g in groups] == [[0, 1], [2, 3], [4]]
+        # Each split is planned for its own longest member.
+        assert [g.bucket for g in groups] == [5, 7, 8]
 
     def test_skips_empty_requests(self):
         planner = BatchPlanner()
@@ -227,10 +249,10 @@ class TestBatchEngine:
         assert isinstance(bad.error, NumericalError)
 
     def test_metrics_account_for_groups_and_padding(self, rng):
-        engine = BatchEngine(planner=BatchPlanner(min_bucket=32))
+        engine = BatchEngine()
         requests = [
             BatchRequest("(1: 1)", rng.integers(-5, 5, size=20).astype(np.int32)),
-            BatchRequest("(1: 1)", rng.integers(-5, 5, size=30).astype(np.int32)),
+            BatchRequest("(1: 1)", rng.integers(-5, 5, size=3000).astype(np.int32)),
             BatchRequest("(1: 1)", np.zeros(0, dtype=np.int32)),
         ]
         engine.execute(requests)
@@ -238,7 +260,11 @@ class TestBatchEngine:
         assert snap["counters"]["batch.requests"] == 3
         assert snap["counters"]["batch.groups"] == 1
         assert snap["counters"]["batch.empty_requests"] == 1
-        assert snap["counters"]["batch.padded_values"] == (32 - 20) + (32 - 30)
+        # The packed pass computes whole chunks of the group's plan:
+        # sum over rows of chunks * m - n.
+        m = BatchSolver("(1: 1)").plan_for(3000).chunk_size
+        expected = sum(-(-n // m) * m - n for n in (20, 3000))
+        assert snap["counters"]["batch.padded_values"] == expected
         assert snap["histograms"]["batch.group_size"]["count"] == 1
 
     def test_group_solve_builds_factor_table_once(self, rng):
@@ -263,6 +289,164 @@ class TestBatchEngine:
         assert "batch_group" in names
 
 
+def packed_cases() -> list:
+    """(name, dtype) for every Table-1 signature in each dtype it runs in."""
+    return [
+        pytest.param(name, dtype, id=f"{name}-{np.dtype(dtype).name}")
+        for name, signature in TABLE1.items()
+        for dtype in (np.int32, np.float32, np.float64)
+        if signature.is_integer or dtype is not np.int32
+    ]
+
+
+def ragged_rows(signature, dtype, rng) -> list[np.ndarray]:
+    """Rows around the group plan's chunk size m, plus one row longer
+    than a tile, which is also the row the group is planned for."""
+    longest = TILE_BYTES // np.dtype(dtype).itemsize + 1000
+    m = BatchSolver(signature).plan_for(longest).chunk_size
+    k, p = signature.order, signature.fir_order
+    lengths = [1, 2, max(1, k - 1), 17, 64, m - p - 1, m - p, m - 1, m, m + 1]
+    lengths[5:5] = [longest, 2 * m + 3]
+    if np.issubdtype(dtype, np.integer):
+        return [rng.integers(-100, 100, n).astype(dtype) for n in lengths]
+    return [rng.standard_normal(n).astype(dtype) for n in lengths]
+
+
+class TestPackedPass:
+    """A group's ragged rows run as one packed pass whose carry spine
+    restarts at each row; every row equals its solo solve under the
+    pass's plan bit for bit, floats included."""
+
+    @pytest.mark.parametrize("name,dtype", packed_cases())
+    def test_rows_equal_solo_solves_under_the_group_plan(self, name, dtype, rng):
+        signature = TABLE1[name]
+        rows = ragged_rows(signature, dtype, rng)
+        solver = BatchSolver(signature)
+        plan = solver.plan_for(max(row.size for row in rows))
+        solo = PLRSolver(signature)
+        with np.errstate(all="ignore"):
+            outputs = solver.solve(rows, dtype=dtype)
+            expected = [solo.solve(row, plan=plan, dtype=dtype) for row in rows]
+            # The engine groups rows by their own plan's chunk size, so
+            # each is solved under its own plan.
+            own = [solo.solve(row, dtype=dtype) for row in rows]
+            outcomes = BatchEngine().execute(
+                [BatchRequest(signature, row, dtype=dtype) for row in rows]
+            )
+        assert isinstance(outputs, list) and len(outputs) == len(rows)
+        for row, out, want, mine, outcome in zip(rows, outputs, expected, own, outcomes):
+            assert out.dtype == want.dtype and out.shape == row.shape
+            assert out.tobytes() == want.tobytes()
+            if outcome.engine == "batch":
+                assert outcome.output.tobytes() == mine.tobytes()
+            else:
+                # Only a row whose own solve is not finite leaves the pass.
+                assert outcome.isolated and not np.isfinite(mine).all()
+            if np.issubdtype(dtype, np.integer):
+                # Integers are chunking-invariant: the row's own plan agrees.
+                np.testing.assert_array_equal(out, mine)
+
+    @pytest.mark.parametrize("name", ["high_pass_2", "low_pass_1", "high_pass_3"])
+    def test_poisoned_rows_do_not_leak_into_neighbours(self, name, rng):
+        signature = TABLE1[name]
+        solver = BatchSolver(signature)
+        m = solver.plan_for(3000).chunk_size
+        # Rows filling whole chunks leave no padding between neighbours.
+        rows = [
+            rng.standard_normal(n).astype(np.float32)
+            for n in (m, 3 * m, m, 2 * m, 700)
+        ]
+        rows[1][-1] = np.inf  # the word right before the next row
+        rows[3][0] = np.nan  # the word right after a finite row
+        plan = solver.plan_for(3 * m)
+        assert plan.chunk_size == m
+        with np.errstate(all="ignore"):
+            outputs = solver.solve(rows)
+            outcomes = BatchEngine().execute(
+                [BatchRequest(signature, row) for row in rows]
+            )
+        for i in (0, 2, 4):
+            want = PLRSolver(signature).solve(rows[i], plan=plan)
+            assert np.isfinite(outputs[i]).all()
+            assert np.array_equal(outputs[i], want)
+            assert np.array_equal(outcomes[i].output, want)
+        assert [o.isolated for o in outcomes] == [False, True, False, True, False]
+
+    def test_one_group_per_signature_dtype_and_chunk_size(self, rng):
+        engine = BatchEngine()
+        requests = [
+            BatchRequest(signature, make_values(Recurrence.parse(signature), n))
+            for signature in ("(1: 1)", "(0.2: 0.8)", "(1: 2, -1)")
+            for n in (5, 700, 1500, 40000)
+        ]
+        requests.append(BatchRequest("(1: 1)", np.ones(30, dtype=np.float32)))
+        outcomes = engine.execute(requests)
+        assert all(o.ok and o.engine == "batch" for o in outcomes)
+        # (1: 2, -1) plans 64 registers, so its 40000-word row takes
+        # m = 2048 and a pass of its own; every other row has m = 1024.
+        assert BatchSolver("(1: 2, -1)").plan_for(40000).chunk_size == 2048
+        snap = engine.metrics.snapshot()
+        assert snap["counters"]["batch.groups"] == 5
+        sizes = snap["histograms"]["batch.group_size"]
+        assert sizes["count"] == 5 and sizes["total"] == len(requests)
+
+    def test_bucket_is_the_longest_live_member(self):
+        state = {"now": 0.0}
+
+        class SpanClockTracer(Tracer):
+            def span(self, name, **kwargs):
+                if name == "batch_group":
+                    state["now"] += 100.0
+                return super().span(name, **kwargs)
+
+        engine = BatchEngine(clock=lambda: state["now"], tracer=SpanClockTracer())
+        outcomes = engine.execute(
+            [
+                BatchRequest("(1: 1)", np.ones(8, dtype=np.int32), tag="first"),
+                BatchRequest("(1: 2, -1)", np.ones(300, dtype=np.int32), tag="a"),
+                BatchRequest(
+                    "(1: 2, -1)", np.ones(900, dtype=np.int32), tag="late",
+                    deadline=50.0,
+                ),
+                BatchRequest("(1: 2, -1)", np.ones(10, dtype=np.int32), tag="b"),
+            ]
+        )
+        by_tag = {o.tag: o for o in outcomes}
+        assert by_tag["late"].engine == "shed"
+        assert by_tag["a"].engine == "batch" and by_tag["b"].engine == "batch"
+        (span,) = [
+            e for e in engine.tracer.events
+            if e.name == "batch_group" and e.args["signature"] == "(1: 2, -1)"
+        ]
+        m = BatchSolver("(1: 2, -1)").plan_for(300).chunk_size
+        assert span.args["batch"] == 2 and span.args["bucket"] == 300
+        assert span.args["padding"] == (m - 300) + (m - 10)
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["batch.padded_values"] == (m - 8) + (m - 300) + (m - 10)
+
+    def test_empty_rows_and_empty_batch(self):
+        solver = BatchSolver("(1: 1)")
+        assert solver.solve([]) == []
+        out = solver.solve([np.zeros(0, dtype=np.int32), np.arange(4, dtype=np.int32)])
+        assert out[0].shape == (0,) and out[0].dtype == np.int32
+        assert out[1].tolist() == [0, 1, 3, 6]
+        (empty,) = solver.solve([np.zeros(0, dtype=np.int32)])
+        assert empty.shape == (0,) and empty.dtype == np.int32
+
+    def test_rejects_rows_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1D rows"):
+            BatchSolver("(1: 1)").solve([np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("signature", ["(1: 2, -1)", "(0.04: 1.6, -0.64)"])
+    def test_process_backend_runs_ragged_rows_in_the_packed_pass(self, signature, rng):
+        recurrence = Recurrence.parse(signature)
+        rows = [make_values(recurrence, n) for n in (3, 2500, 40)]
+        outputs = BatchSolver(signature, backend="process", workers=2).solve(rows)
+        solver = PLRSolver(signature)
+        for row, out in zip(rows, outputs):
+            assert out.tobytes() == solver.solve(row).tobytes()
+
+
 SIGNATURES = ("(1: 1)", "(1: 2, -1)", "(0.2: 0.8)", "(0.5, 0.5: 0.9)")
 
 
@@ -283,8 +467,6 @@ def request_mixes(draw):
 def test_random_mixes_match_per_request(specs):
     """Any queue — empty inputs, n < k tails, mixed dtypes — matches
     the per-request solver through the full planner + engine path."""
-    from repro.core.recurrence import Recurrence
-
     requests = []
     for signature, n, seed in specs:
         recurrence = Recurrence.parse(signature)
@@ -294,9 +476,7 @@ def test_random_mixes_match_per_request(specs):
         else:
             values = generator.standard_normal(n).astype(np.float32)
         requests.append(BatchRequest(signature, values))
-    outcomes = execute_batch(
-        requests, planner=BatchPlanner(min_bucket=16, max_batch=3)
-    )
+    outcomes = execute_batch(requests, planner=BatchPlanner(max_batch=3))
     assert len(outcomes) == len(specs)
     for outcome, request in zip(outcomes, requests):
         assert outcome.ok, outcome.error

@@ -207,6 +207,18 @@ class TestNativeEquivalence:
         single = BatchSolver("(1: 2, -1)")
         np.testing.assert_array_equal(native.solve(values), single.solve(values))
 
+    def test_batch_solver_native_solves_ragged_rows_at_their_length(self, rng):
+        from repro.batch.solver import BatchSolver
+
+        rows = [rng.integers(-50, 50, size=n).astype(np.int32) for n in (0, 3, 4000, 70)]
+        native = BatchSolver("(1: 2, -1)", backend="native")
+        plan = native.plan_for(4000)
+        outputs = native.solve(rows)
+        assert isinstance(outputs, list) and outputs[0].shape == (0,)
+        solver = PLRSolver("(1: 2, -1)")
+        for row, out in zip(rows, outputs):
+            np.testing.assert_array_equal(out, solver.solve(row, plan=plan))
+
 
 class TestNativeAfterInProcessSolve:
     """``workers`` configure the process backend only: native always

@@ -40,15 +40,12 @@ def run(coro, timeout: float = 60.0):
 
 def make_server(**overrides) -> tuple[PLRServer, FaultSchedule]:
     """A server on an ephemeral port wired to a controllable engine."""
-    overrides.setdefault("min_bucket", 16)
     overrides.setdefault("flush_ms", 2.0)
     schedule = FaultSchedule()
     metrics = MetricsRegistry()
     config = ServeConfig(**overrides)
     engine = FaultyEngine(
-        planner=BatchPlanner(
-            min_bucket=config.min_bucket, max_batch=config.max_batch
-        ),
+        planner=BatchPlanner(max_batch=config.max_batch),
         metrics=metrics,
         schedule=schedule,
     )

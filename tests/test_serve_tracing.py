@@ -86,15 +86,12 @@ class TestProtocolTraceField:
 
 def traced_server(**overrides):
     """A server whose engine isolates through the process backend."""
-    overrides.setdefault("min_bucket", 16)
     overrides.setdefault("flush_ms", 2.0)
     tracer = Tracer()
     metrics = MetricsRegistry()
     config = ServeConfig(**overrides)
     engine = BatchEngine(
-        planner=BatchPlanner(
-            min_bucket=config.min_bucket, max_batch=config.max_batch
-        ),
+        planner=BatchPlanner(max_batch=config.max_batch),
         metrics=metrics,
         tracer=tracer,
         backend="process",
@@ -376,9 +373,7 @@ class TestServeObservability:
                 traced_server()
                 if tracer
                 else (
-                    PLRServer(
-                        ServeConfig(min_bucket=16, flush_ms=2.0)
-                    ),
+                    PLRServer(ServeConfig(flush_ms=2.0)),
                     None,
                 )
             )

@@ -24,7 +24,7 @@ from repro.obs.tracer import Tracer
 from repro.plr import tiled
 from repro.plr.nd import solve_batch
 from repro.plr.phase1 import phase1
-from repro.plr.phase2 import LOOKBACK_SUMMARY_THRESHOLD
+from repro.plr.phase2 import LOOKBACK_SUMMARY_THRESHOLD, propagate_carries
 from repro.plr.solver import PLRSolver
 from repro.plr.streaming import StreamingSolver
 
@@ -217,3 +217,89 @@ class TestTileFill:
             got = tile[:, :valid]
             np.testing.assert_array_equal(got, expected[:, start : start + valid])
             assert not tile[:, valid:].any()
+
+
+class TestPackedPass:
+    """Ragged rows packed into one row, the spine restarting at each."""
+
+    @pytest.mark.parametrize("per_tile", [1, 2, 3], ids=lambda t: f"tile={t}chunks")
+    @pytest.mark.parametrize("name,dtype", cases())
+    def test_rows_equal_their_solo_solves(self, name, dtype, per_tile, monkeypatch, rng):
+        # Small tiles cut long rows into runs and let short rows share
+        # a tile; every row must still match its solo solve exactly.
+        monkeypatch.setattr(tiled, "TILE_BYTES", per_tile * CHUNK * np.dtype(dtype).itemsize)
+        signature = TABLE1[name]
+        lengths = sizes(signature) + [CHUNK - signature.fir_order, 2]
+        rows = [values_for(dtype, n, rng) for n in rng.permutation(lengths)]
+        plan = tile_plan(signature, max(lengths))
+        solver = PLRSolver(signature)
+        with np.errstate(all="ignore"):
+            outputs = solve_batch(rows, signature, dtype=dtype, plan=plan)
+            for row, out in zip(rows, outputs):
+                np.testing.assert_array_equal(out, solver.solve(row, plan=plan, dtype=dtype))
+
+    def test_packed_starts_give_each_row_whole_chunks(self):
+        # ceil(n / 64) chunks each: 1, 1, 2, 3, 1.
+        sizes_ = [1, CHUNK, CHUNK + 1, 3 * CHUNK, 3]
+        assert tiled.packed_starts(sizes_, CHUNK) == [0, 1, 2, 4, 7]
+        assert [tiled.row_chunks(n, CHUNK) for n in sizes_] == [1, 1, 2, 3, 1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_filling_whole_chunks_map_only_their_own_values(self, dtype, rng):
+        # No zeros separate these rows, so a map stage reading across a
+        # row start would pull in the neighbour's tail.  Every bit must
+        # match the solo solve, the sign of a zero included.
+        signature = TABLE1["high_pass_3"]
+        rows = [rng.standard_normal(n).astype(dtype) for n in (CHUNK, 2 * CHUNK, 5, CHUNK)]
+        plan = tile_plan(signature, 2 * CHUNK)
+        outputs = solve_batch(rows, signature, dtype=dtype, plan=plan)
+        for row, out in zip(rows, outputs):
+            solo = PLRSolver(signature).solve(row, plan=plan, dtype=dtype)
+            assert out.tobytes() == solo.tobytes()
+
+    def test_tiles_cut_each_packed_row_on_its_own_grid(self):
+        per_tile = 3
+        row_starts = [0, 1, 8, 9, 11, 19]
+        chunks = 21
+        seen = np.zeros(chunks, dtype=int)
+        chunk_bytes = tiled.TILE_BYTES // per_tile
+        tiles = list(tiled._tiles(1, chunks, chunk_bytes, row_starts))
+        for r0, r1, c0, c1 in tiles:
+            assert (r0, r1) == (0, 1) and 0 < c1 - c0 <= per_tile
+            seen[c0:c1] += 1
+        assert (seen == 1).all()
+        bounds = {c for _, _, c0, c1 in tiles for c in (c0, c1)}
+        for start, end in zip(row_starts, [*row_starts[1:], chunks]):
+            # Cut exactly where the row's solo solve cuts it: every
+            # per_tile chunks from its start, and nowhere else.
+            inside = {c for c in bounds if start < c < end}
+            assert inside == set(range(start + per_tile, end, per_tile))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.float64])
+    def test_spine_restarts_at_row_starts(self, dtype, order, rng):
+        # Integer and one-carry spines advance every row together; the
+        # others walk chunk by chunk.  Both must equal the recursion.
+        locals_ = values_for(dtype, (9, order), rng)
+        matrix = values_for(dtype, (order, order), rng)
+        for restarts, base in (([0, 2, 5, 6], None), ([3, 4], values_for(dtype, order, rng))):
+            global_ = propagate_carries(locals_, matrix, base=base, restarts=restarts)
+            for c in range(9):
+                if c in restarts:
+                    expected = locals_[c]
+                else:
+                    expected = locals_[c] + matrix @ (global_[c - 1] if c else base)
+                np.testing.assert_array_equal(global_[c], expected)
+
+    def test_traced_pass_looks_back_for_continuing_chunks_only(self, monkeypatch):
+        monkeypatch.setattr(tiled, "TILE_BYTES", 1)
+        tracer = Tracer()
+        rows = [np.ones(n, dtype=np.int64) for n in (CHUNK, 3 * CHUNK, 2 * CHUNK)]
+        signature = TABLE1["prefix_sum"]
+        outputs = solve_batch(
+            rows, signature, plan=tile_plan(signature, 3 * CHUNK), tracer=tracer
+        )
+        for row, out in zip(rows, outputs):
+            np.testing.assert_array_equal(out, np.arange(1, row.size + 1))
+        lookbacks = [e.args["chunk"] for e in tracer.events if e.name == "lookback"]
+        assert lookbacks == [2, 3, 5]
