@@ -12,9 +12,7 @@
 #      native-marked tests skip themselves when no C compiler exists).
 #   2. serve self-test — a live ephemeral server, one pass over the
 #      reply contract (7 checks); repeated with --backend native when
-#      a C compiler is available, and with --backend auto against a
-#      freshly tuned calibration table (quick sweep into a temp dir,
-#      so the developer's real table is never touched).
+#      a C compiler is available, and with --backend auto.
 #   3. bench gate      — re-runs the committed BENCH_parallel.json
 #      benchmark and fails on a >25% per-row slowdown.
 #
@@ -43,13 +41,8 @@ if command -v cc >/dev/null 2>&1 || command -v gcc >/dev/null 2>&1; then
 else
     echo "== stage 2/3: native serve self-test SKIPPED (no C compiler) =="
 fi
-echo "== stage 2/3: quick tune + serve self-test (auto backend) =="
-PLR_TUNE_TMP="$(mktemp -d)"
-trap 'rm -rf "$PLR_TUNE_TMP"' EXIT
-PLR_TUNE_DB="$PLR_TUNE_TMP/tuning.json" python -m repro.cli tune --quick
-PLR_TUNE_DB="$PLR_TUNE_TMP/tuning.json" python -m repro.cli tune --show
-PLR_TUNE_DB="$PLR_TUNE_TMP/tuning.json" \
-    python -m repro.cli serve --self-test --backend auto
+echo "== stage 2/3: serve self-test (auto backend) =="
+python -m repro.cli serve --self-test --backend auto
 
 if [ "${PLR_SKIP_BENCH_GATE:-0}" = "1" ]; then
     echo "== stage 3/3: bench gate SKIPPED (PLR_SKIP_BENCH_GATE=1) =="

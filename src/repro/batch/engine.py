@@ -37,6 +37,7 @@ from repro.obs.tracer import coerce_tracer
 from repro.batch.planner import BatchGroup, BatchPlanner, BatchRequest
 from repro.batch.solver import BatchSolver
 from repro.gpusim.spec import MachineSpec
+from repro.plr.solver import check_backend
 from repro.resilience.solver import FallbackPolicy, solve_request
 
 __all__ = ["BatchEngine", "RequestOutcome", "execute_batch"]
@@ -97,12 +98,12 @@ class BatchEngine:
         request's trace).  ``"native"`` additionally switches the
         grouped pass itself to the JIT-compiled C kernels (per-row, one
         compile per kernel shape) with automatic numpy fallback.
-        ``"auto"`` lets the machine's calibration table pick the
-        grouped-pass backend per (signature class, row length, dtype)
-        (:mod:`repro.tune`); isolated re-runs then use the
-        deterministic single-process chain.  The process backend never
-        applies to the grouped pass — batching and sharding compose
-        badly for small groups.
+        ``"auto"`` picks native or single for each grouped pass from
+        its longest row (:func:`~repro.plr.solver.resolve_backend`);
+        isolated re-runs then use the single-process chain.  The
+        process backend never applies to the grouped pass — batching
+        and sharding compose badly for small groups.  Any other name
+        raises ``ValueError`` here, before a queue runs.
     """
 
     def __init__(
@@ -117,6 +118,7 @@ class BatchEngine:
         workers: int | None = None,
         shard_options=None,
     ) -> None:
+        check_backend(backend)
         self.planner = planner or BatchPlanner()
         self.policy = policy or FallbackPolicy()
         self.machine = machine or MachineSpec.titan_x()
@@ -282,9 +284,9 @@ class BatchEngine:
                 machine=self.machine,
                 tracer=self.tracer,
                 # The grouped pass may run native kernels per row (or
-                # let the calibration table pick); the process backend
-                # stays isolation-only (batching and sharding compose
-                # badly for small groups).
+                # let the auto rule pick); the process backend stays
+                # isolation-only (batching and sharding compose badly
+                # for small groups).
                 backend=self.backend
                 if self.backend in ("native", "auto")
                 else "single",
@@ -388,8 +390,9 @@ class BatchEngine:
             tracer=self.tracer,
             context=iso_ctx,
             # Isolation is the careful slow path: "auto" re-runs there
-            # as the deterministic single-process chain so a typed
-            # degradation story never depends on tuning state.
+            # as the single-process chain, so an isolated request's
+            # degradation story does not depend on whether this machine
+            # has a C compiler.
             backend="single" if self.backend == "auto" else self.backend,
             workers=self.workers,
             shard_options=self.shard_options,

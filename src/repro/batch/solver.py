@@ -34,6 +34,7 @@ from repro.gpusim.spec import MachineSpec
 from repro.obs.tracer import coerce_tracer
 from repro.plr.nd import ragged_batch, solve_batch
 from repro.plr.planner import ExecutionPlan, plan_execution
+from repro.plr.solver import check_backend, resolve_backend
 
 __all__ = ["BatchSolver"]
 
@@ -63,17 +64,13 @@ class BatchSolver:
         dtype), then a dict lookup per row), degrading to the
         vectorized numpy pass with a ``native.fallbacks`` count when no
         compiler is available or compilation fails;
-        ``"auto"`` consults the machine's calibration table
-        (:mod:`repro.tune`) per solve and dispatches to whichever of
-        the above measured fastest for this (signature class, row
-        length, dtype), with the static heuristics as the cold-table
-        fallback.
+        ``"auto"`` picks ``"native"`` or ``"single"`` per solve from the
+        batch's longest row
+        (:func:`~repro.plr.solver.resolve_backend`), and that choice
+        steers every row, however short.
     workers / shard_options:
         Process-backend pool tuning, as on
         :class:`~repro.plr.solver.PLRSolver`.
-    policy:
-        ``backend="auto"`` only: the tuning policy to consult; the
-        process-wide default when None.
     """
 
     def __init__(
@@ -84,19 +81,13 @@ class BatchSolver:
         backend: str = "single",
         workers: int | None = None,
         shard_options=None,
-        policy=None,
     ) -> None:
         recurrence = Recurrence.coerce(recurrence)
-        if backend not in ("single", "process", "native", "auto"):
-            raise ValueError(
-                f"unknown backend {backend!r}; expected 'single', 'process', "
-                f"'native', or 'auto'"
-            )
+        check_backend(backend)
         self.recurrence = recurrence
         self.machine = machine or MachineSpec.titan_x()
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
-        self.policy = policy
         self._native_solver = None
         if shard_options is None:
             from repro.parallel.sharding import ShardOptions
@@ -137,9 +128,7 @@ class BatchSolver:
             dtype = np.dtype(dtype)
         if rows == 0 or n == 0:
             return solve_batch(values, self.recurrence, dtype=dtype)
-        backend = self.backend
-        if backend == "auto":
-            backend = self._resolve_auto(n, dtype)
+        backend = resolve_backend(self.backend, n)
         if plan is None:
             with self.tracer.span(
                 "plan",
@@ -167,30 +156,6 @@ class BatchSolver:
                 backend="single" if backend == "native" else backend,
                 shard_options=self.shard_options,
             )
-
-    def _resolve_auto(self, n: int, dtype) -> str:
-        """One tuning decision for the whole batch.
-
-        The decision is per (signature class, row length, dtype), looked
-        up once for the batch's longest row ``n``; it steers every row,
-        however short.  Never raises; a cold table resolves to the
-        static heuristics (see :class:`repro.tune.TuningPolicy`).
-        """
-        from repro.tune.policy import default_policy
-
-        policy = self.policy if self.policy is not None else default_policy()
-        decision = policy.decide(self.recurrence.signature, n, dtype)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "tuning_decision",
-                cat="batch",
-                args={
-                    "backend": decision.backend,
-                    "source": decision.source,
-                    "reason": decision.reason[:200],
-                },
-            )
-        return decision.backend
 
     def _solve_native(self, values, plan, dtype):
         """Row loop through the compiled kernel; ``None`` → numpy pass.

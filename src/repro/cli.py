@@ -37,9 +37,6 @@ Subcommands:
   attainment, error budget, multi-window burn rates).
 * ``plr metrics`` — query a live server's metrics as JSON or
   Prometheus text exposition (``--format prometheus``).
-* ``plr tune`` — benchmark this machine and write the persistent
-  calibration table that ``backend="auto"`` consults (``--quick`` for
-  a seconds-long sweep, ``--show`` to inspect the stored table).
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from repro.eval.report import render_figure, render_figure10, render_table
 from repro.eval.tables import table2_memory_usage, table3_l2_misses
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import optimize_factors
-from repro.plr.solver import PLRSolver
+from repro.plr.solver import SOLVE_BACKENDS, PLRSolver
 
 __all__ = ["main", "build_parser"]
 
@@ -89,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         + tuple(b for b in BACKENDS if b != "cuda"),
         default="solver",
         help="solver = numpy; native = JIT-compiled C kernel through the "
-        "solver (numpy fallback if no compiler); auto = consult the "
-        "calibration table from `plr tune`; c / python = run the "
-        "emitted kernel directly",
+        "solver (numpy fallback if no compiler); auto = native from 2^15 "
+        "words when a C compiler is available, else numpy; c / python = "
+        "run the emitted kernel directly",
     )
     run_p.add_argument("--seed", type=int, default=0)
 
@@ -360,12 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--backend",
-        choices=("single", "native", "process", "auto"),
+        choices=SOLVE_BACKENDS,
         default="single",
         help="solve backend for grouped flushes: single = vectorized "
         "numpy; native = JIT-compiled C kernels (numpy fallback when no "
-        "compiler); process = multicore sharded pool; auto = whichever "
-        "the machine's calibration table measured fastest (plr tune)",
+        "compiler); process = multicore sharded pool; auto = native for "
+        "a grouped pass whose longest row has 2^15 words or more when a "
+        "C compiler is available, else single",
     )
     serve_p.add_argument(
         "--workers",
@@ -378,47 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="start an ephemeral instance, run a client smoke test, exit",
     )
-
-    tune_p = sub.add_parser(
-        "tune",
-        help="measure this machine and write the calibration table "
-        'behind backend="auto"',
-    )
-    tune_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="seconds-long sweep (two buckets, one repetition, no x "
-        "search) — enough to seed the table on first use or in CI",
-    )
-    tune_p.add_argument(
-        "--show",
-        action="store_true",
-        help="print the stored table (status, fingerprint, entries) "
-        "and exit without measuring; exit 1 if the table is not usable",
-    )
-    tune_p.add_argument(
-        "--db",
-        default=None,
-        metavar="PATH",
-        help="calibration table to read/write (default: $PLR_TUNE_DB, "
-        "else the user cache dir)",
-    )
-    tune_p.add_argument(
-        "--signature",
-        action="append",
-        default=None,
-        metavar="SIG",
-        help="restrict the sweep to these signatures (repeatable; "
-        "default: one representative per calibration class)",
-    )
-    tune_p.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help="timing repetitions per point; best is kept (default: 3, "
-        "or 1 with --quick)",
-    )
-    tune_p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -900,7 +857,6 @@ def _bench_payload(
     this plan, not copied from the flag.
     """
     from repro.core.errors import BackendError, CodegenError
-    from repro.parallel.backend import _tuned_workers
     from repro.parallel.sharding import resolve_workers
     from repro.plr.planner import plan_execution
     from repro.tune.fingerprint import machine_fingerprint
@@ -923,13 +879,10 @@ def _bench_payload(
         lambda: proc_solver.solve(values, dtype=dtype), repeat
     )
     # The pool size the process row actually ran with: the request (or,
-    # when unset, the calibration table's recommendation) clamped to the
-    # plan's chunk count — mirroring solve_sharded exactly.
-    plan = plan_execution(recurrence.signature, n, dtype=dtype)
-    proc_workers = resolve_workers(
-        workers if workers is not None else _tuned_workers(plan.padded_n),
-        plan.num_chunks,
-    )
+    # when unset, one per core) clamped to the plan's chunk count —
+    # mirroring solve_sharded exactly.
+    plan = plan_execution(recurrence.signature, n)
+    proc_workers = resolve_workers(workers, plan.num_chunks)
 
     native_s = None
     native_error = None
@@ -1296,63 +1249,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.tune import CalibrationDatabase, default_db_path, run_tuning
-    from repro.tune.fingerprint import fingerprint_digest
-
-    path = args.db or default_db_path()
-    if args.show:
-        db = CalibrationDatabase.load(path)
-        info = db.describe()
-        status = info["status"] + (
-            f" ({info['reason']})" if info["reason"] else ""
-        )
-        print(f"table    {info['path']}")
-        print(f"status   {status}")
-        print(f"machine  {info['fingerprint']}")
-        if db.entries:
-            print(
-                f"{'class':<20} {'bucket':>9} {'dtype':<8} {'backend':<8} "
-                f"{'workers':>7} {'ms':>10}"
-            )
-            for entry in sorted(db.entries.values(), key=lambda e: e.key):
-                best = db.best(entry.sig_class, entry.bucket, entry.dtype)
-                marker = "  <- fastest" if best is entry else ""
-                print(
-                    f"{entry.sig_class:<20} {entry.bucket:>9} "
-                    f"{entry.dtype:<8} {entry.backend:<8} "
-                    f"{entry.workers:>7} {entry.wall_s * 1e3:>10.3f}{marker}"
-                )
-        return 0 if db.status == "ok" else 1
-
-    if args.signature:
-        for spec in args.signature:  # fail fast before minutes of timing
-            Recurrence.parse(spec)
-    mode = "quick" if args.quick else "full"
-    print(f"calibrating {path} ({mode} sweep):")
-    db, points = run_tuning(
-        path=path,
-        signatures=args.signature,
-        quick=args.quick,
-        repeat=args.repeat,
-        seed=args.seed,
-        progress=print,
-    )
-    recorded = sum(1 for point in points if point.recorded)
-    skipped = len(points) - recorded
-    print(
-        f"recorded {recorded} measurements"
-        + (f" ({skipped} skipped)" if skipped else "")
-        + f" for machine {fingerprint_digest(db.fingerprint)} -> {db.path}"
-    )
-    # A long-lived process that ran `plr tune` programmatically should
-    # see the new table without restarting.
-    from repro.tune.policy import reset_default_policy
-
-    reset_default_policy()
-    return 0
-
-
 _COMMANDS = {
     "compile": _cmd_compile,
     "run": _cmd_run,
@@ -1371,7 +1267,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "slo": _cmd_slo,
     "metrics": _cmd_metrics,
-    "tune": _cmd_tune,
 }
 
 

@@ -333,24 +333,6 @@ def _shutdown(pool: concurrent.futures.ProcessPoolExecutor) -> None:
             pass
 
 
-def _tuned_workers(n: int) -> int | None:
-    """Measured-best pool size for a solve of length n, if calibrated.
-
-    Consulted only when the caller left ``ShardOptions.workers`` at
-    ``None`` ("follow the machine"): a calibration table that measured
-    the process backend at this size bucket knows the pool size that
-    actually won there, which one-worker-per-core over-estimates when
-    pool spawn cost dominates.  None (no table, tuning disabled, any
-    failure) keeps the one-per-core default.
-    """
-    try:
-        from repro.tune.policy import default_policy
-
-        return default_policy().recommend_workers(n)
-    except Exception:
-        return None
-
-
 def solve_sharded(
     padded: np.ndarray,
     table: CorrectionFactorTable,
@@ -384,10 +366,7 @@ def solve_sharded(
             f"got shape {padded.shape}"
         )
     num_chunks = padded.size // m
-    requested = options.workers
-    if requested is None:
-        requested = _tuned_workers(padded.size)
-    spans = slab_spans(num_chunks, resolve_workers(requested, num_chunks))
+    spans = slab_spans(num_chunks, resolve_workers(options.workers, num_chunks))
     if len(spans) <= 1:
         work = padded.reshape(-1, m).copy()
         phase1_inplace(work, table, x, tracer=tracer)
@@ -507,10 +486,7 @@ def solve_batch_sharded(
         )
     batch, padded_n = padded.shape
     num_chunks = padded_n // m
-    requested = options.workers
-    if requested is None:
-        requested = _tuned_workers(padded_n)
-    spans = slab_spans(batch, resolve_workers(requested, batch))
+    spans = slab_spans(batch, resolve_workers(options.workers, batch))
     if len(spans) <= 1:
         work = padded.reshape(-1, m).copy()
         phase1_inplace(work, table, x, tracer=tracer)

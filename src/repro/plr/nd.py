@@ -88,11 +88,11 @@ def solve_batch(
     if values.ndim != 2:
         raise ValueError(f"expected a 2D (rows, n) array, got shape {values.shape}")
     rows, n = values.shape
-    if rows == 0 or n == 0:
-        return values.astype(dtype or values.dtype)
     if dtype is None:
         dtype = resolve_dtype(recurrence.signature, values.dtype)
     dtype = np.dtype(dtype)
+    if rows == 0 or n == 0:
+        return values.astype(dtype)
     check_integer_coefficients(
         recurrence.signature.feedforward + recurrence.signature.feedback, dtype
     )

@@ -34,12 +34,6 @@ __all__ = ["ExecutionPlan", "plan_execution", "tuned_plan", "MAX_PIPELINE_DEPTH"
 MAX_PIPELINE_DEPTH = 32
 """Maximum look-back distance c; one warp handles the carries."""
 
-CONSULT_DEFAULT_POLICY = object()
-"""Sentinel for ``policy``: consult the process-wide tuning policy
-(:func:`repro.tune.default_policy`).  Pass ``None`` to plan purely from
-the paper's heuristics — what the tuner itself does while measuring, so
-an existing table can never steer its own re-measurement."""
-
 _MAX_X_FLOAT = 9
 _MAX_X_INT = 11
 
@@ -100,27 +94,6 @@ class ExecutionPlan:
         )
 
 
-def _measured_values_per_thread(
-    policy, signature: Signature, n: int, dtype, is_integer: bool
-) -> int | None:
-    """A calibrated x for this exact bucket, or None for the heuristic.
-
-    Lazy and fault-isolated: tuning is advisory, so any failure here —
-    including an import failure in a stripped install — silently keeps
-    the paper's plan.
-    """
-    try:
-        if policy is CONSULT_DEFAULT_POLICY:
-            from repro.tune.policy import default_policy
-
-            policy = default_policy()
-        if dtype is None:
-            dtype = np.int32 if is_integer else np.float32
-        return policy.recommend_values_per_thread(signature, n, dtype)
-    except Exception:
-        return None
-
-
 def _signature_is_simple_integer(signature: Signature) -> bool:
     """Integer signatures whose coefficients are all 0/1 get 32 regs."""
     coeffs = signature.feedforward + signature.feedback
@@ -131,17 +104,11 @@ def plan_execution(
     signature: Signature,
     n: int,
     machine: MachineSpec | None = None,
-    policy=CONSULT_DEFAULT_POLICY,
-    dtype=None,
 ) -> ExecutionPlan:
     """Build the execution plan for a given input size.
 
-    The paper's m/x/T heuristics produce the base plan; when the
-    machine has been calibrated (``plr tune``), a measured
-    values-per-thread for this exact (signature class, n bucket, dtype)
-    overrides the heuristic x — the paper defers tuning m and x to
-    future work, and the calibration table is that future work.  Pass
-    ``policy=None`` for the pure paper heuristics.
+    The plan is the paper's m/x/T heuristics, a pure function of the
+    signature, n and the machine.
 
     Raises :class:`PlanError` for empty inputs or inputs beyond the
     4 GB / 2^30-word limit the paper states.
@@ -171,13 +138,6 @@ def plan_execution(
         x += 1
     x = min(x, max_x)
 
-    if policy is not None:
-        measured_x = _measured_values_per_thread(
-            policy, signature, n, dtype, is_integer
-        )
-        if measured_x is not None:
-            x = min(max(1, measured_x), max_x)
-
     chunk_size = block_size * x
     num_chunks = -(-n // chunk_size)
     return ExecutionPlan(
@@ -197,10 +157,9 @@ def plan_execution(
 def tuned_plan(
     signature: Signature,
     n: int,
-    objective: Callable[[ExecutionPlan], float] | None = None,
+    objective: Callable[[ExecutionPlan], float],
     machine: MachineSpec | None = None,
     candidate_x: Sequence[int] | None = None,
-    policy=CONSULT_DEFAULT_POLICY,
 ) -> ExecutionPlan:
     """SAM-style auto-tuning of x (paper Section 3: future work).
 
@@ -209,16 +168,8 @@ def tuned_plan(
     best score.  SAM "runs an auto-tuner upon installation that
     determines the optimal number of elements to assign to each thread
     for different problem sizes"; this is the same idea applied to PLR.
-
-    With ``objective=None`` the calibration database *is* the
-    objective: the plan uses the machine's measured values-per-thread
-    when one exists (see :mod:`repro.tune`), and the paper's heuristic
-    plan otherwise — install-time measurement standing in for a
-    hand-written cost model.
     """
-    if objective is None:
-        return plan_execution(signature, n, machine, policy=policy)
-    base = plan_execution(signature, n, machine, policy=None)
+    base = plan_execution(signature, n, machine)
     max_x = _MAX_X_INT if base.is_integer else _MAX_X_FLOAT
     if candidate_x is None:
         candidate_x = range(1, max_x + 1)

@@ -41,12 +41,55 @@ from repro.plr.tiled import solve_tiled
 
 __all__ = [
     "PLRSolver",
+    "SOLVE_BACKENDS",
+    "STATIC_NATIVE_CROSSOVER",
     "SolveArtifacts",
     "cached_factor_table",
+    "check_backend",
     "clear_factor_cache",
     "factor_cache_stats",
     "plr_solve",
+    "resolve_backend",
 ]
+
+SOLVE_BACKENDS = ("single", "process", "native", "auto")
+"""The backend names :class:`PLRSolver`,
+:class:`~repro.batch.BatchSolver`, :class:`~repro.batch.BatchEngine` and
+:class:`~repro.serve.ServeConfig` accept."""
+
+STATIC_NATIVE_CROSSOVER = 1 << 15
+"""The input length from which ``backend="auto"`` runs the native
+kernel, when a C compiler is available.  One constant serves every
+entry point, though the measured crossover differs between them: a
+one-row native solve beats single from 16 words up, while the batch
+engine's per-row kernel loop loses to one packed numpy pass on queues
+of short rows (about 2x on 256 rows of 16-1,024 words, 2-vCPU
+x86_64)."""
+
+
+def check_backend(backend: str) -> None:
+    """Raise ``ValueError`` unless ``backend`` is one of
+    :data:`SOLVE_BACKENDS`."""
+    if backend not in SOLVE_BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {SOLVE_BACKENDS}"
+        )
+
+
+def resolve_backend(backend: str, n: int) -> str:
+    """The backend a solve whose longest row has ``n`` words runs.
+
+    ``"auto"`` becomes ``"native"`` when ``n`` is at least
+    :data:`STATIC_NATIVE_CROSSOVER` and a C compiler is available, and
+    ``"single"`` otherwise; every other name is returned unchanged.
+    """
+    if backend != "auto":
+        return backend
+    from repro.codegen.jit import native_available
+
+    if n >= STATIC_NATIVE_CROSSOVER and native_available():
+        return "native"
+    return "single"
 
 
 @dataclass(frozen=True)
@@ -71,11 +114,6 @@ class SolveArtifacts:
         A :class:`~repro.codegen.jit.NativeAttempt` describing what the
         native backend did (ran a compiled kernel, or degraded to numpy
         and why).  ``None`` for the other backends.
-    tuning:
-        A :class:`~repro.tune.policy.TuningDecision` recording which
-        backend ``backend="auto"`` resolved to and *why* (measured,
-        interpolated, or static fallback with its typed reason).
-        ``None`` when the backend was fixed by the caller.
     backend:
         The backend that actually executed this solve (after any
         ``"auto"`` resolution): ``"single"``, ``"process"``, or
@@ -87,7 +125,6 @@ class SolveArtifacts:
     factor_plan: FactorPlan
     partial: np.ndarray | None
     native: object | None = None
-    tuning: object | None = None
     backend: str = "single"
 
 
@@ -212,6 +249,9 @@ class PLRSolver:
         compiler is available or compilation fails, the solve degrades
         to the numpy path and records the typed error on
         ``artifacts.native`` (see ``native_fallback``).
+        ``"auto"`` picks ``"native"`` or ``"single"`` per solve from the
+        input length (:func:`resolve_backend`); ``artifacts.backend``
+        records which ran.
     workers / shard_options:
         Pool tuning for the process backend: ``workers`` is shorthand
         for ``ShardOptions(workers=...)``; pass a full
@@ -227,17 +267,7 @@ class PLRSolver:
         False: the typed error propagates — what the resilience chain
         uses so the degradation is *its* decision and gets a typed
         attempt record.
-    policy:
-        ``backend="auto"`` only: the
-        :class:`~repro.tune.policy.TuningPolicy` consulted per solve;
-        defaults to the process-wide policy over the persistent
-        calibration database (:func:`repro.tune.default_policy`).  The
-        decision — and why it was made — lands on
-        ``artifacts.tuning``; a cold or broken table degrades to the
-        static heuristics, never to an exception.
     """
-
-    BACKENDS = ("single", "process", "native", "auto")
 
     def __init__(
         self,
@@ -249,20 +279,15 @@ class PLRSolver:
         workers: int | None = None,
         shard_options: ShardOptions | None = None,
         native_fallback: bool = True,
-        policy=None,
     ) -> None:
         recurrence = Recurrence.coerce(recurrence)
-        if backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
-            )
+        check_backend(backend)
         self.recurrence = recurrence
         self.machine = machine or MachineSpec.titan_x()
         self.optimization = optimization or OptimizationConfig()
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
         self.native_fallback = native_fallback
-        self.policy = policy
         self.shard_options = (
             shard_options
             if shard_options is not None
@@ -337,13 +362,7 @@ class PLRSolver:
             dtype = resolve_dtype(self.recurrence.signature, values.dtype)
         dtype = np.dtype(dtype)
 
-        backend = self.backend
-        shard_options = self.shard_options
-        tuning = None
-        if backend == "auto":
-            backend, shard_options, tuning = self._resolve_auto(
-                n, dtype, tracer, link
-            )
+        backend = resolve_backend(self.backend, n)
 
         if plan is None:
             with tracer.span(
@@ -398,7 +417,6 @@ class PLRSolver:
                     factor_plan=factor_plan,
                     partial=None,
                     native=native_record,
-                    tuning=tuning,
                     backend="native",
                 )
                 return out, artifacts
@@ -424,7 +442,7 @@ class PLRSolver:
                     padded,
                     table,
                     plan.values_per_thread,
-                    options=shard_options,
+                    options=self.shard_options,
                     tracer=tracer,
                     context=sharded_ctx,
                 )
@@ -448,7 +466,6 @@ class PLRSolver:
             factor_plan=factor_plan,
             partial=partial,
             native=native_record,
-            tuning=tuning,
             backend=backend,
         )
         return out, artifacts
@@ -461,42 +478,6 @@ class PLRSolver:
             with tracer.span("map_stage", cat="solver", link=link()):
                 work = self.recurrence.apply_map_stage(work)
         return work
-
-    def _resolve_auto(self, n, dtype, tracer, link):
-        """Resolve ``backend="auto"`` through the tuning policy.
-
-        Returns ``(backend, shard_options, decision)``.  The policy's
-        contract guarantees a decision (measured, interpolated, or
-        static fallback with a typed reason) — this never raises on the
-        solve path.  A measured process decision also carries the
-        measured-best worker count, which fills a ``workers=None``
-        shard configuration without overriding an explicit one.
-        """
-        from dataclasses import replace as dc_replace
-
-        from repro.tune.policy import default_policy
-
-        policy = self.policy if self.policy is not None else default_policy()
-        decision = policy.decide(self.recurrence.signature, n, dtype)
-        shard_options = self.shard_options
-        if (
-            decision.backend == "process"
-            and decision.workers is not None
-            and shard_options.workers is None
-        ):
-            shard_options = dc_replace(shard_options, workers=decision.workers)
-        if tracer.enabled:
-            tracer.instant(
-                "tuning_decision",
-                cat="solver",
-                args={
-                    "backend": decision.backend,
-                    "source": decision.source,
-                    "reason": decision.reason[:200],
-                },
-                link=link(),
-            )
-        return decision.backend, shard_options, decision
 
     def _solve_native(
         self, work, n, plan, table, factor_plan, dtype, tracer, link

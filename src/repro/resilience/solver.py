@@ -51,7 +51,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import TracePid, coerce_tracer
 from repro.plr.phase1 import check_integer_coefficients
 from repro.plr.planner import ExecutionPlan
-from repro.plr.solver import PLRSolver
+from repro.plr.solver import PLRSolver, resolve_backend
 
 __all__ = [
     "AttemptRecord",
@@ -206,9 +206,9 @@ class ResilientSolver:
         typed :class:`~repro.core.errors.WorkerError` and the chain
         degrades to the single-process path — the multicore level is an
         accelerator, never a correctness dependency.  With
-        ``backend="native"`` the solver is built *strict*
-        (``native_fallback=False``) so a missing compiler or failed
-        compile surfaces as a typed
+        ``backend="native"``, or ``"auto"`` where it resolves to native,
+        the solver is built *strict* (``native_fallback=False``) so a
+        missing compiler or failed compile surfaces as a typed
         :class:`~repro.core.errors.BackendError` here, where the chain
         records a ``"backend"`` attempt and degrades to the numpy path
         without consuming a retry — the toolchain, like the pool, is an
@@ -428,7 +428,9 @@ class ResilientSolver:
                     self._record(dtype, plan, seed, "backend", str(exc), t0, attempt_ctx)
                 )
                 self.metrics.counter("resilience.backend_faults").inc()
-                if self._solver.backend == "native":
+                # Key on the backend the attempt ran: "auto" raises
+                # BackendError only once it resolved to native.
+                if resolve_backend(self._solver.backend, values.size) == "native":
                     # No compiler / failed compile is not transient
                     # within this solve: drop to the numpy path and go
                     # again without consuming a retry — same recurrence,

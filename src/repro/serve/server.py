@@ -51,6 +51,7 @@ from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.sampling import SamplingPolicy, TraceLog
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.tracer import coerce_tracer
+from repro.plr.solver import check_backend
 from repro.serve.protocol import (
     ControlFrame,
     ServerError,
@@ -155,20 +156,16 @@ class ServeConfig:
     and isolated re-runs, with automatic typed fallback to numpy when no
     compiler is available — a server must never die for lack of a
     toolchain), ``"process"`` (multicore sharding for isolated re-runs
-    only), or ``"auto"`` (the machine's calibration table picks the
-    grouped-pass backend per signature class / length / dtype; see
-    :mod:`repro.tune`)."""
+    only), or ``"auto"`` (native for a grouped pass whose longest row
+    has at least 2^15 words and when a C compiler is available, else
+    single; see :func:`repro.plr.solver.resolve_backend`)."""
 
     workers: int | None = None
     """Worker-pool size for isolated re-runs, process backend only; the
     single and native backends run in this process."""
 
     def __post_init__(self) -> None:
-        if self.backend not in ("single", "native", "process", "auto"):
-            raise ValueError(
-                "backend must be single|native|process|auto, "
-                f"got {self.backend!r}"
-            )
+        check_backend(self.backend)
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_batch < 1:
@@ -753,25 +750,8 @@ class PLRServer:
                         else None
                     ),
                 },
-                "tuning": self._tuning_info(),
             },
         }
-
-    @staticmethod
-    def _tuning_info() -> dict | None:
-        """The process-wide tuning policy's view of itself, or None.
-
-        Reported regardless of the configured backend — an operator
-        asking ``{"op": "metrics"}`` wants to know whether switching to
-        ``backend="auto"`` would run measured (table status "ok") or
-        fall back to the static heuristics.
-        """
-        try:
-            from repro.tune.policy import default_policy
-
-            return default_policy().describe()
-        except Exception:  # noqa: BLE001 — metrics must never fail
-            return None
 
     # -- the micro-batcher ----------------------------------------------
     async def _batch_loop(self) -> None:

@@ -1,64 +1,20 @@
-"""The closed-loop autotuner: measure the machine, remember, decide.
+"""Machine identity: the fingerprint stamped into benchmark baselines.
 
-Every performance knob in this package used to be hand-set — chunk
-size, worker count, vectorized-vs-process-vs-native backend — and the
-committed bench trajectory shows how expensive guessing wrong is (the
-native kernel is ~4.6x faster than vectorized numpy at n=2^22 but
-loses below the dispatch crossover).  ``repro.tune`` closes the loop:
-
-* :func:`~repro.tune.measure.run_tuning` benchmarks the actual machine
-  (``plr tune`` / ``plr tune --quick``),
-* :class:`~repro.tune.db.CalibrationDatabase` persists the results to
-  a versioned JSON table keyed by (signature class, n bucket, dtype,
-  backend, workers), invalidated when the machine fingerprint changes,
-* :class:`~repro.tune.policy.TuningPolicy` turns the table into
-  per-solve decisions that ``PLRSolver(backend="auto")``,
-  ``BatchSolver``, the sharded worker pool, the planner, and the serve
-  layer consult by default — with a typed-fallback guarantee: a cold,
-  corrupt, or foreign table degrades to the static heuristics and the
-  solve never fails for lack of tuning data.
-
-See ``docs/tuning.md`` for the database layout and semantics.
+:func:`machine_fingerprint` records what a timing depends on (core
+count, platform, Python, numpy, C compiler);
+:func:`fingerprint_mismatches` names the fields on which a stored
+fingerprint differs from this machine's, so ``plr bench --compare``
+can declare a baseline measured elsewhere.
 """
 
-from repro.tune.db import (
-    DB_VERSION,
-    CalibrationDatabase,
-    CalibrationEntry,
-    default_db_path,
-    n_bucket,
-    signature_class,
-)
 from repro.tune.fingerprint import (
     fingerprint_digest,
     fingerprint_mismatches,
     machine_fingerprint,
 )
-from repro.tune.measure import run_tuning
-from repro.tune.policy import (
-    STATIC_NATIVE_CROSSOVER,
-    TuningDecision,
-    TuningPolicy,
-    default_policy,
-    reset_default_policy,
-    set_default_policy,
-)
 
 __all__ = [
-    "CalibrationDatabase",
-    "CalibrationEntry",
-    "DB_VERSION",
-    "STATIC_NATIVE_CROSSOVER",
-    "TuningDecision",
-    "TuningPolicy",
-    "default_db_path",
-    "default_policy",
     "fingerprint_digest",
     "fingerprint_mismatches",
     "machine_fingerprint",
-    "n_bucket",
-    "reset_default_policy",
-    "run_tuning",
-    "set_default_policy",
-    "signature_class",
 ]

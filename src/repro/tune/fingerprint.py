@@ -1,13 +1,13 @@
-"""Machine identity for the calibration database.
+"""Machine identity for committed benchmark baselines.
 
-A tuning measurement is only meaningful on the machine that produced
-it: the native-vs-numpy crossover moves with the compiler, the process
+A timing is only meaningful on the machine that produced it: the
+native-vs-numpy crossover moves with the compiler, the process
 backend's profitability moves with the core count, and numpy's
 vectorized throughput moves with the BLAS/SIMD build.  The fingerprint
 captures exactly the dimensions a measurement depends on — core count,
-compiler identity, numpy version, platform — so a calibration table
-(or a committed bench baseline) carries a declared provenance, and a
-mismatch invalidates the data instead of silently mis-steering solves.
+compiler identity, numpy version, platform — so a committed bench
+baseline carries a declared provenance, and ``plr bench --compare``
+can say when it was measured on another machine.
 
 The fingerprint is deliberately coarse: it identifies a *machine
 class*, not an instant.  Load average, frequency scaling, and thermal
@@ -31,14 +31,14 @@ __all__ = [
 FINGERPRINT_FIELDS = ("cpu_count", "platform", "machine", "python", "numpy", "compiler")
 """The compared fields, in reporting order.  Extra keys in a stored
 fingerprint are ignored so the schema can grow without invalidating
-every existing table."""
+every existing baseline."""
 
 
 def _compiler_identity() -> str | None:
     """First ``--version`` line of the C compiler, or None without one.
 
-    Imported lazily: the tune package must stay importable (and the
-    solve path must stay cheap) on machines with no toolchain at all.
+    Imported lazily: this module must stay importable on machines with
+    no toolchain at all.
     """
     from repro.codegen import cbackend
     from repro.core.errors import BackendError
@@ -51,7 +51,7 @@ def _compiler_identity() -> str | None:
 
 
 def machine_fingerprint() -> dict:
-    """The identity dict stamped into calibration tables and baselines."""
+    """The identity dict stamped into benchmark baselines."""
     import numpy as np
 
     return {
@@ -78,8 +78,8 @@ def fingerprint_mismatches(stored: dict, current: dict) -> tuple[str, ...]:
 
     Returns one ``"field: stored -> current"`` line per differing field,
     empty when the machines match.  A field absent from the *stored*
-    fingerprint is skipped — old tables that predate a field stay valid
-    rather than being invalidated by schema growth.
+    fingerprint is skipped — old baselines that predate a field stay
+    valid rather than being invalidated by schema growth.
     """
     lines = []
     for field in FINGERPRINT_FIELDS:

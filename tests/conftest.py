@@ -14,23 +14,6 @@ from repro.gpusim.spec import MachineSpec
 TABLE1_NAMES = tuple(table1_signatures().keys())
 
 
-@pytest.fixture(autouse=True)
-def _isolated_tuning(tmp_path, monkeypatch):
-    """Every test sees a cold calibration table.
-
-    The planner and ``backend="auto"`` consult the process-wide tuning
-    policy by default, so a developer's real ``~/.cache/plr/tuning.json``
-    could otherwise steer test outcomes.  Point the lookup at an empty
-    per-test path and drop the cached policy singleton on both sides.
-    """
-    from repro.tune.policy import reset_default_policy
-
-    monkeypatch.setenv("PLR_TUNE_DB", str(tmp_path / "tuning.json"))
-    reset_default_policy()
-    yield
-    reset_default_policy()
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20180324)  # the conference date

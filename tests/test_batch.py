@@ -248,6 +248,10 @@ class TestBatchEngine:
         assert not bad.ok and bad.output is None
         assert isinstance(bad.error, NumericalError)
 
+    def test_unknown_backend_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="backend"):
+            BatchEngine(backend="turbo")
+
     def test_metrics_account_for_groups_and_padding(self, rng):
         engine = BatchEngine()
         requests = [

@@ -46,8 +46,18 @@ class TestSolveBatch:
         )
 
     def test_empty(self):
-        out = solve_batch(np.zeros((0, 10), dtype=np.int32), "(1: 1)")
-        assert out.shape == (0, 10)
+        # The dtype resolves as for a non-empty batch: int32 data under a
+        # fractional signature computes in float32.
+        for shape in ((0, 10), (0, 5), (3, 0)):
+            values = np.zeros(shape, dtype=np.int32)
+            for text, dtype in (("(1: 1)", np.int32), ("(0.2: 0.8)", np.float32)):
+                for out in (
+                    solve_batch(values, text),
+                    filter_axis(values, text, axis=1),
+                    filter_axis(values.T, text, axis=0).T,
+                ):
+                    assert out.shape == shape
+                    assert out.dtype == dtype, (shape, text)
 
     def test_rejects_1d(self, rng):
         with pytest.raises(ValueError):

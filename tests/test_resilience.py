@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import (
+    BackendError,
     DeadlockError,
     NumericalError,
     ReproError,
@@ -385,6 +386,29 @@ class TestResilientSolver:
             FallbackPolicy(verify="maybe")
         with pytest.raises(ValueError, match="engine"):
             ResilientSolver("(1: 1)", engine="fpga")
+
+    @pytest.mark.parametrize("backend", ["native", "auto"])
+    def test_native_failure_degrades_to_numpy(self, backend, monkeypatch):
+        """A kernel that cannot be built costs one ``backend`` attempt,
+        then the numpy solver completes, whether the caller named native
+        or auto resolved to it."""
+        from repro.codegen import jit
+
+        def broken(ir, workdir=None):
+            raise BackendError("compiler crashed")
+
+        monkeypatch.setattr(jit, "native_available", lambda: True)
+        monkeypatch.setattr(jit, "native_kernel", broken)
+        x = np.arange(1 << 15, dtype=np.int32) % 7
+        report = ResilientSolver("(1: 1)", backend=backend).solve_with_report(x)
+        assert report.ok and report.engine == "plr"
+        assert [a.outcome for a in report.attempts] == ["backend", "ok"]
+        assert report.degradations == [
+            "native backend failed: numpy single-process fallback"
+        ]
+        np.testing.assert_array_equal(
+            report.output, serial_full(x, Signature.parse("(1: 1)"))
+        )
 
 
 class TestFactorCache:
