@@ -12,7 +12,9 @@
 #      native-marked tests skip themselves when no C compiler exists).
 #   2. serve self-test — a live ephemeral server, one pass over the
 #      reply contract (7 checks); repeated with --backend native when
-#      a C compiler is available, and with --backend auto.
+#      a C compiler is available, and with --backend auto.  With a
+#      compiler, two `plr run` solves also check the native dispatch
+#      end to end against the serial reference (exit 1 on a mismatch).
 #   3. bench gate      — re-runs the committed BENCH_parallel.json
 #      benchmark and fails on a >25% per-row slowdown.
 #
@@ -38,6 +40,9 @@ python -m repro.cli serve --self-test
 if command -v cc >/dev/null 2>&1 || command -v gcc >/dev/null 2>&1; then
     echo "== stage 2/3: serve self-test (native backend) =="
     python -m repro.cli serve --self-test --backend native
+    echo "== stage 2/3: native and auto solves against the serial reference =="
+    python -m repro.cli run "(0.2: 0.8)" -n 70001 --backend native
+    python -m repro.cli run "(1: 2, -1)" -n 40000 --backend auto
 else
     echo "== stage 2/3: native serve self-test SKIPPED (no C compiler) =="
 fi

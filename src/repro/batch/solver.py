@@ -3,9 +3,10 @@
 :class:`BatchSolver` is the batch counterpart of
 :class:`~repro.plr.solver.PLRSolver`: every row is an independent
 sequence with its own zero history, computed under one shared execution
-plan and one shared correction-factor table, in one pass of
-:func:`repro.plr.nd.solve_batch`, which this class wraps with planning,
-tracing, and empty-input handling.  It takes either of two shapes:
+plan and one shared correction-factor table, through the same prepared
+solve (:func:`repro.plr.solver.prepare`), which this class wraps with
+planning, tracing, and empty-input handling.  It takes either of two
+shapes:
 
 * a sequence of 1-D rows of any lengths — the batch engine's shape.
   The rows are packed into one grid of chunks, planned for the longest
@@ -28,13 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recurrence import Recurrence
-from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.gpusim.spec import MachineSpec
 from repro.obs.tracer import coerce_tracer
-from repro.plr.nd import ragged_batch, solve_batch
+from repro.plr.nd import solve_batch
 from repro.plr.planner import ExecutionPlan, plan_execution
-from repro.plr.solver import check_backend, resolve_backend
+from repro.plr.solver import check_backend, check_batch, prepare
 
 __all__ = ["BatchSolver"]
 
@@ -60,10 +60,11 @@ class BatchSolver:
         exchange at all (see :func:`repro.parallel.solve_batch_sharded`);
         ragged rows take the packed single pass instead;
         ``"native"`` runs each row through the JIT-compiled C kernel
-        (:mod:`repro.codegen.jit` — one compile per (signature, plan,
-        dtype), then a dict lookup per row), degrading to the
-        vectorized numpy pass with a ``native.fallbacks`` count when no
-        compiler is available or compilation fails;
+        (:mod:`repro.codegen.jit` — the kernel is fetched once per
+        solve, then called once per row), degrading to the numpy pass
+        with a ``native.fallbacks`` count and a ``native_fallback``
+        trace instant when no compiler is available or compilation
+        fails;
         ``"auto"`` picks ``"native"`` or ``"single"`` per solve from the
         batch's longest row
         (:func:`~repro.plr.solver.resolve_backend`), and that choice
@@ -88,7 +89,6 @@ class BatchSolver:
         self.machine = machine or MachineSpec.titan_x()
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
-        self._native_solver = None
         if shard_options is None:
             from repro.parallel.sharding import ShardOptions
 
@@ -113,86 +113,21 @@ class BatchSolver:
         length 0, short-circuit to empty results (the planner cannot —
         and need not — plan a zero-length solve).
         """
-        if isinstance(values, (list, tuple)):
-            values, n, dtype = ragged_batch(values, self.recurrence.signature, dtype)
-            rows = len(values)
-        else:
-            values = np.asarray(values)
-            if values.ndim != 2:
-                raise ValueError(
-                    f"expected a 2D (batch, n) array, got shape {values.shape}"
-                )
-            rows, n = values.shape
-            if dtype is None:
-                dtype = resolve_dtype(self.recurrence.signature, values.dtype)
-            dtype = np.dtype(dtype)
+        values, rows, n, dtype = check_batch(values, self.recurrence.signature, dtype)
         if rows == 0 or n == 0:
             return solve_batch(values, self.recurrence, dtype=dtype)
-        backend = resolve_backend(self.backend, n)
+        tracer = self.tracer
         if plan is None:
-            with self.tracer.span(
+            with tracer.span(
                 "plan",
                 cat="batch",
-                args={"batch": rows, "n": n} if self.tracer.enabled else None,
+                args={"batch": rows, "n": n} if tracer.enabled else None,
             ):
                 plan = self.plan_for(n)
-        if backend == "native":
-            out = self._solve_native(values, plan, dtype)
-            if out is not None:
-                return out
-        with self.tracer.span(
-            "batch_solve",
-            cat="batch",
-            args={"batch": rows, "n": n, "m": plan.chunk_size}
-            if self.tracer.enabled
-            else None,
-        ):
-            return solve_batch(
-                values,
-                self.recurrence,
-                dtype=dtype,
-                plan=plan,
-                tracer=self.tracer,
-                backend="single" if backend == "native" else backend,
-                shard_options=self.shard_options,
-            )
-
-    def _solve_native(self, values, plan, dtype):
-        """Row loop through the compiled kernel; ``None`` → numpy pass.
-
-        The kernel solves one sequence at a time, so the batch is a
-        Python loop over rows, each at its own length — the per-row
-        overhead is one memoized cache lookup plus the ctypes call, and
-        the kernel itself is far faster than the vectorized pass.  A
-        list of rows returns a list; a (B, n) array returns the stacked
-        (B, n) result.  Any typed backend failure degrades the whole
-        group to the vectorized numpy pass.
-        """
-        from repro.core.errors import BackendError, CodegenError
-        from repro.obs.metrics import global_metrics
-        from repro.plr.solver import PLRSolver
-
-        if self._native_solver is None:
-            self._native_solver = PLRSolver(
-                self.recurrence,
-                machine=self.machine,
-                tracer=self.tracer,
-                backend="native",
-                native_fallback=False,
-            )
-        try:
-            with self.tracer.span(
-                "batch_native",
-                cat="batch",
-                args={"batch": len(values)} if self.tracer.enabled else None,
-            ):
-                rows = [
-                    self._native_solver.solve(row, plan=plan, dtype=dtype)
-                    if row.size
-                    else np.zeros(0, dtype=dtype)
-                    for row in values
-                ]
-            return rows if isinstance(values, list) else np.stack(rows)
-        except (BackendError, CodegenError):
-            global_metrics().counter("native.fallbacks").inc()
-            return None
+        handle = prepare(self.recurrence, n, dtype, self.backend, plan)
+        if handle.backend == "native":
+            name, args = "batch_native", {"batch": rows}
+        else:
+            name, args = "batch_solve", {"batch": rows, "n": n, "m": plan.chunk_size}
+        with tracer.span(name, cat="batch", args=args if tracer.enabled else None):
+            return handle(values, tracer, shard_options=self.shard_options)[0]

@@ -28,15 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recurrence import Recurrence
-from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.obs.tracer import NULL_TRACER
-# phase1 stays importable here: the benchmark's traced run wraps it by
-# attribute on this module.
-from repro.plr.phase1 import check_integer_coefficients, phase1  # noqa: F401
-from repro.plr.planner import ExecutionPlan, plan_execution
-from repro.plr.solver import cached_factor_table
-from repro.plr.tiled import packed_starts, solve_tiled
+# phase1, plan_execution and cached_factor_table stay importable here:
+# the benchmark's traced run wraps them by attribute on this module.
+from repro.plr.phase1 import phase1  # noqa: F401
+from repro.plr.planner import ExecutionPlan, plan_execution  # noqa: F401
+from repro.plr.solver import cached_factor_table  # noqa: F401
+from repro.plr.solver import check_backend, check_batch, prepare
 
 __all__ = ["solve_batch", "filter_axis", "filter2d", "summed_area_table"]
 
@@ -64,108 +63,33 @@ def solve_batch(
     plan it grouped requests under); ``tracer`` threads an optional
     :class:`~repro.obs.tracer.Tracer` into the phase kernels.
 
-    ``backend="process"`` shards the *batch axis* across a multicore
-    pool (:func:`repro.parallel.solve_batch_sharded`): rows are
-    independent, so each worker completes its rows end to end with no
-    carry exchange; ``shard_options`` tunes the pool.
+    ``backend`` takes every name in
+    :data:`~repro.plr.solver.SOLVE_BACKENDS`, as the other entry points
+    do (:func:`~repro.plr.solver.prepare`).  ``"process"`` shards the
+    *batch axis* across a multicore pool
+    (:func:`repro.parallel.solve_batch_sharded`): rows are independent,
+    so each worker completes its rows end to end with no carry
+    exchange; ``shard_options`` tunes the pool.  ``"native"`` runs each
+    row through the compiled kernel and degrades to the single backend
+    when none can be built.
 
     ``values`` may instead be a list or tuple of 1-D rows of any
     lengths; a list of outputs comes back.  The plan defaults to the
     longest row's.  The rows are packed into one grid of chunks
     (:func:`~repro.plr.tiled.packed_starts`) and solved in one tiled
     pass whose carry spine restarts at each row, so every output equals
-    ``PLRSolver.solve(row, plan=plan)`` bit for bit.  Ragged rows always
-    take this single pass; ``backend`` applies to (rows, n) arrays.
+    ``PLRSolver.solve(row, plan=plan)`` bit for bit.  The process
+    backend runs ragged rows in this single pass too.
     """
-    if backend not in ("single", "process"):
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'single' or 'process'"
-        )
+    check_backend(backend)
     recurrence = Recurrence.coerce(recurrence)
-    if isinstance(values, (list, tuple)):
-        return _solve_ragged(values, recurrence, dtype, plan, tracer)
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2D (rows, n) array, got shape {values.shape}")
-    rows, n = values.shape
-    if dtype is None:
-        dtype = resolve_dtype(recurrence.signature, values.dtype)
-    dtype = np.dtype(dtype)
+    values, rows, n, dtype = check_batch(values, recurrence.signature, dtype)
     if rows == 0 or n == 0:
+        if isinstance(values, list):
+            return [np.zeros(0, dtype=dtype) for _ in values]
         return values.astype(dtype)
-    check_integer_coefficients(
-        recurrence.signature.feedforward + recurrence.signature.feedback, dtype
-    )
-
-    if plan is None:
-        plan = plan_execution(recurrence.signature, n)
-    m = plan.chunk_size
-    table = cached_factor_table(recurrence.recursive_signature, m, dtype)
-
-    if backend == "process":
-        from repro.parallel.backend import solve_batch_sharded
-
-        chunks = -(-n // m)
-        padded = np.zeros((rows, chunks * m), dtype=dtype)
-        work = values.astype(dtype, copy=False)
-        padded[:, :n] = (
-            recurrence.apply_map_stage(work) if recurrence.has_map_stage else work
-        )
-        corrected = solve_batch_sharded(
-            padded, table, plan.values_per_thread, options=shard_options, tracer=tracer
-        )
-        return corrected.reshape(rows, chunks * m)[:, :n]
-
-    # One tiled pass: each tile holds whole rows or a run of one row's
-    # chunks, and the carry spine walks every row of a tile at once.
-    out, _ = solve_tiled(
-        values, recurrence.signature.feedforward, table, plan.values_per_thread,
-        tracer=tracer,
-    )
-    return out[:, :n]
-
-
-def ragged_batch(
-    values, signature: Signature, dtype=None
-) -> tuple[list[np.ndarray], int, np.dtype]:
-    """Check a sequence of 1-D rows: the rows as arrays, the longest
-    length, and the working dtype (``dtype``, else the one the rows'
-    common dtype resolves to)."""
-    rows = [np.asarray(row) for row in values]
-    if any(row.ndim != 1 for row in rows):
-        raise ValueError("expected a sequence of 1D rows")
-    if dtype is None:
-        source = np.result_type(*{row.dtype for row in rows}) if rows else np.float32
-        dtype = resolve_dtype(signature, source)
-    return rows, max((row.size for row in rows), default=0), np.dtype(dtype)
-
-
-def _solve_ragged(
-    values, recurrence: Recurrence, dtype, plan, tracer
-) -> list[np.ndarray]:
-    """:func:`solve_batch` over a sequence of 1-D rows of any lengths."""
-    rows, n, dtype = ragged_batch(values, recurrence.signature, dtype)
-    if n == 0:
-        return [np.zeros(0, dtype=dtype) for _ in rows]
-    check_integer_coefficients(
-        recurrence.signature.feedforward + recurrence.signature.feedback, dtype
-    )
-    if plan is None:
-        plan = plan_execution(recurrence.signature, n)
-    m = plan.chunk_size
-    table = cached_factor_table(recurrence.recursive_signature, m, dtype)
-    filled = [row for row in rows if row.size]
-    starts = packed_starts([row.size for row in filled], m)
-    out, _ = solve_tiled(
-        filled, recurrence.signature.feedforward, table, plan.values_per_thread,
-        tracer=tracer, row_starts=starts,
-    )
-    offsets = iter(starts)
-    outputs = []
-    for row in rows:
-        start = next(offsets) * m if row.size else 0
-        outputs.append(out[0, start : start + row.size])
-    return outputs
+    handle = prepare(recurrence, n, dtype, backend, plan)
+    return handle(values, tracer, shard_options=shard_options)[0]
 
 
 def filter_axis(

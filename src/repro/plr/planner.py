@@ -168,11 +168,17 @@ def tuned_plan(
     best score.  SAM "runs an auto-tuner upon installation that
     determines the optimal number of elements to assign to each thread
     for different problem sizes"; this is the same idea applied to PLR.
+
+    Raises :class:`PlanError` for a candidate outside the valid range,
+    an empty ``candidate_x``, or an objective that scores every
+    candidate inf or NaN.
     """
     base = plan_execution(signature, n, machine)
     max_x = _MAX_X_INT if base.is_integer else _MAX_X_FLOAT
     if candidate_x is None:
         candidate_x = range(1, max_x + 1)
+    if len(candidate_x) == 0:
+        raise PlanError("candidate_x is empty: there is no x to tune over")
     best: ExecutionPlan | None = None
     best_score = np.inf
     for x in candidate_x:
@@ -188,5 +194,9 @@ def tuned_plan(
         score = objective(candidate)
         if score < best_score:
             best, best_score = candidate, score
-    assert best is not None  # candidate list is never empty
+    if best is None:
+        raise PlanError(
+            "the objective scored every candidate x as inf or NaN; "
+            "no plan is better than another"
+        )
     return best

@@ -7,6 +7,15 @@ same arithmetic order — so it serves both as the production API for
 computing recurrences in parallel form and as the reference for
 validating the code generators and the GPU simulator against.
 
+Every CPU entry point — :class:`PLRSolver`,
+:class:`~repro.batch.BatchSolver`, :func:`~repro.plr.nd.solve_batch`
+(and so the streams and the batch engine) and
+:class:`~repro.resilience.ResilientSolver` — solves through one seam,
+:func:`prepare`: it checks the coefficients, resolves ``"auto"``,
+plans, looks up the factor table once, and returns a
+:class:`PreparedSolve` that dispatches the input to its backend and
+degrades a native failure to numpy in one place.
+
 Typical use::
 
     from repro import Recurrence, PLRSolver
@@ -29,7 +38,7 @@ from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.gpusim.spec import MachineSpec
 from repro.obs.metrics import global_metrics
-from repro.obs.tracer import coerce_tracer
+from repro.obs.tracer import NULL_TRACER, coerce_tracer
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import FactorPlan, OptimizationConfig, optimize_factors
 from repro.parallel.sharding import ShardOptions
@@ -37,33 +46,39 @@ from repro.parallel.sharding import ShardOptions
 # attribute on this module.
 from repro.plr.phase1 import check_integer_coefficients, phase1  # noqa: F401
 from repro.plr.planner import ExecutionPlan, plan_execution
-from repro.plr.tiled import solve_tiled
+from repro.plr.tiled import packed_starts, solve_tiled
 
 __all__ = [
     "PLRSolver",
+    "PreparedSolve",
     "SOLVE_BACKENDS",
     "STATIC_NATIVE_CROSSOVER",
     "SolveArtifacts",
     "cached_factor_table",
     "check_backend",
+    "check_batch",
     "clear_factor_cache",
     "factor_cache_stats",
     "plr_solve",
+    "prepare",
     "resolve_backend",
 ]
 
 SOLVE_BACKENDS = ("single", "process", "native", "auto")
-"""The backend names :class:`PLRSolver`,
-:class:`~repro.batch.BatchSolver`, :class:`~repro.batch.BatchEngine` and
-:class:`~repro.serve.ServeConfig` accept."""
+"""The backend names :func:`prepare` and every entry point built on it
+(:class:`PLRSolver`, :class:`~repro.batch.BatchSolver`,
+:func:`~repro.plr.nd.solve_batch`, :class:`~repro.batch.BatchEngine`,
+:class:`~repro.resilience.ResilientSolver`,
+:class:`~repro.serve.ServeConfig`) accept."""
 
 STATIC_NATIVE_CROSSOVER = 1 << 15
 """The input length from which ``backend="auto"`` runs the native
 kernel, when a C compiler is available.  One constant serves every
 entry point, though the measured crossover differs between them: a
-one-row native solve beats single from 16 words up, while the batch
-engine's per-row kernel loop loses to one packed numpy pass on queues
-of short rows (about 2x on 256 rows of 16-1,024 words, 2-vCPU
+one-row native solve beats single from 16 words up, while on queues of
+short rows the batch engine's per-row kernel calls run level with one
+packed numpy pass for an int32 prefix sum and about 2x slower for a
+float32 second-order filter (256 rows of 16-1,024 words, 2-vCPU
 x86_64)."""
 
 
@@ -189,7 +204,7 @@ def factor_cache_stats() -> dict[str, int]:
     ``factor_cache.hits`` / ``factor_cache.misses`` / ``factor_cache.size``
     gauges on :func:`repro.obs.metrics.global_metrics`, returning the
     same numbers as a plain dict.  Called on every
-    :meth:`PLRSolver.factor_table` lookup so the gauges track the cache
+    :func:`cached_factor_table` lookup so the gauges track the cache
     without replacing the ``lru_cache`` interface tests rely on.
     """
     info = _cached_table.cache_info()
@@ -204,6 +219,263 @@ def factor_cache_stats() -> dict[str, int]:
     registry.gauge("factor_cache.misses").set(info.misses)
     registry.gauge("factor_cache.size").set(info.currsize)
     return stats
+
+
+def check_batch(
+    values, signature: Signature, dtype=None
+) -> tuple[list[np.ndarray] | np.ndarray, int, int, np.dtype]:
+    """Check a batch: a (B, n) array, or a sequence of 1-D rows of any
+    lengths.
+
+    Returns the batch (the array, or the rows as a list of arrays), its
+    row count, its longest row's length, and the working dtype:
+    ``dtype``, else the one the data's dtype resolves to.
+    """
+    if isinstance(values, (list, tuple)):
+        values = [np.asarray(row) for row in values]
+        if any(row.ndim != 1 for row in values):
+            raise ValueError("expected a sequence of 1D rows")
+        n = max((row.size for row in values), default=0)
+        source = np.result_type(*{row.dtype for row in values}) if values else np.float32
+    else:
+        values = np.asarray(values)
+        if values.ndim != 2:
+            raise ValueError(f"expected a 2D (batch, n) array, got shape {values.shape}")
+        n = values.shape[1]
+        source = values.dtype
+    if dtype is None:
+        dtype = resolve_dtype(signature, source)
+    return values, len(values), n, np.dtype(dtype)
+
+
+def _child(context):
+    # One fresh child per span; None stays None so the untraced hot path
+    # allocates nothing.
+    return context.child() if context is not None else None
+
+
+def prepare(
+    recurrence: Recurrence | Signature | str,
+    n: int,
+    dtype: np.dtype | type,
+    backend: str = "single",
+    plan: ExecutionPlan | None = None,
+    optimization: OptimizationConfig | None = None,
+) -> "PreparedSolve":
+    """Derive everything a solve needs before it touches the data.
+
+    ``n`` is the input length (a batch's longest row) and ``dtype`` the
+    working dtype.  The steps run once, in this order: the
+    integer-coefficient check, ``"auto"`` resolution
+    (:func:`resolve_backend`), planning for the default machine unless
+    ``plan`` is given, and the factor-table lookup
+    (:func:`cached_factor_table`).  No kernel is built here, so a
+    caller can read ``table.overflow_risk`` before anything compiles.
+    """
+    recurrence = Recurrence.coerce(recurrence)
+    dtype = np.dtype(dtype)
+    signature = recurrence.signature
+    # A fractional coefficient cast to an integer working dtype
+    # truncates silently (b=0.5 -> 0) and computes a *different*
+    # recurrence; fail with a typed error before any work happens.
+    check_integer_coefficients(signature.feedforward + signature.feedback, dtype)
+    backend = resolve_backend(backend, n)
+    if plan is None:
+        plan = plan_execution(signature, n)
+    table = cached_factor_table(recurrence.recursive_signature, plan.chunk_size, dtype)
+    return PreparedSolve(recurrence, dtype, backend, plan, table, optimization)
+
+
+@dataclass(frozen=True)
+class PreparedSolve:
+    """One solve's plan, factor table and backend, ready to run.
+
+    Built by :func:`prepare`.  Calling it runs ``values`` through
+    ``backend`` and returns ``(out, partial, native)``.  ``values`` is
+    one of:
+
+    * a 1-D array (the :class:`PLRSolver` case), returning a 1-D array;
+    * a (B, n) array of independent rows, returning a (B, n) array;
+    * a list of 1-D rows of any lengths, returning a list.  The single
+      and process backends solve them as one packed pass.
+
+    ``partial`` is the Phase 1 result as (chunks, m) when
+    ``keep_partial`` is set and the tiled pass ran, else None.
+    ``native`` is the native backend's
+    :class:`~repro.codegen.jit.NativeAttempt`, else None.  A native
+    failure degrades to the single backend here, unless
+    ``native_fallback`` is False, in which case the typed error
+    propagates.
+    """
+
+    recurrence: Recurrence
+    dtype: np.dtype
+    backend: str
+    plan: ExecutionPlan
+    table: CorrectionFactorTable
+    optimization: OptimizationConfig | None
+
+    @property
+    def factor_plan(self) -> FactorPlan:
+        """The optimizer's decisions for ``table``.  Only the native
+        kernel and :class:`SolveArtifacts` read them; the table
+        memoizes them per config."""
+        return optimize_factors(self.table, self.optimization)
+
+    def __call__(
+        self,
+        values,
+        tracer=NULL_TRACER,
+        context=None,
+        keep_partial: bool = False,
+        shard_options: ShardOptions | None = None,
+        native_fallback: bool = True,
+    ) -> tuple:
+        if self.backend == "native":
+            try:
+                return self._native(values, tracer, context)
+            except (BackendError, CodegenError) as exc:
+                if not native_fallback:
+                    raise
+                return self._degrade(exc, values, tracer, context, keep_partial)
+        if self.backend == "process" and not isinstance(values, list):
+            return self._sharded(values, tracer, context, shard_options), None, None
+        return self._tiled(values, tracer, context, keep_partial)
+
+    def _degrade(self, exc, values, tracer, context, keep_partial) -> tuple:
+        """The one place a native failure degrades: count it, mark the
+        trace, rerun on the single backend, and record why."""
+        from repro.codegen.jit import NativeAttempt
+
+        global_metrics().counter("native.fallbacks").inc()
+        if tracer.enabled:
+            tracer.instant(
+                "native_fallback",
+                cat="solver",
+                args={"error": str(exc)[:200]},
+                link=_child(context),
+            )
+        out, partial, _ = replace(self, backend="single")(
+            values, tracer, context, keep_partial
+        )
+        return out, partial, NativeAttempt(used=False, error=f"{type(exc).__name__}: {exc}")
+
+    def _tiled(self, values, tracer, context, keep_partial) -> tuple:
+        ff = self.recurrence.signature.feedforward
+        m, x = self.plan.chunk_size, self.plan.values_per_thread
+        if isinstance(values, list):
+            # Rows of any lengths run as one packed row whose carry
+            # spine restarts at each row.
+            filled = [row for row in values if row.size]
+            starts = packed_starts([row.size for row in filled], m)
+            out, _ = solve_tiled(
+                filled, ff, self.table, x,
+                tracer=tracer, context=context, row_starts=starts,
+            )
+            offsets = iter(starts)
+            outputs = []
+            for row in values:
+                start = next(offsets) * m if row.size else 0
+                outputs.append(out[0, start : start + row.size])
+            return outputs, None, None
+        out, partial = solve_tiled(
+            values[None] if values.ndim == 1 else values, ff, self.table, x,
+            tracer=tracer, context=context, keep_partial=keep_partial,
+        )
+        if partial is not None:
+            partial = partial.reshape(-1, m)
+        out = out[:, : values.shape[-1]]
+        return (out[0] if values.ndim == 1 else out), partial, None
+
+    def _map_rows(self, values, tracer, context) -> np.ndarray:
+        """The whole-row cast and map stage (2) the native and process
+        backends start from; the tiled pass maps tile by tile."""
+        work = values.astype(self.dtype, copy=False)
+        if self.recurrence.has_map_stage:
+            with tracer.span("map_stage", cat="solver", link=_child(context)):
+                work = self.recurrence.apply_map_stage(work)
+        return work
+
+    def _native(self, values, tracer, context) -> tuple:
+        """Run each row through one JIT-compiled C kernel, in this process.
+
+        The kernel is fetched once per call and built from the
+        *recursive-only* signature with one serial cell spanning each
+        chunk (``x = m``): the doubling hierarchy inside a chunk is a GPU
+        shape; on a CPU the chunk-serial solve plus the carry spine plus
+        the bulk correction is both less work and the layout OpenMP
+        parallelizes cleanly.  The kernel pads internally, so the host
+        neither maps nor pads twice.  Raises
+        :class:`~repro.core.errors.BackendError` /
+        :class:`~repro.core.errors.CodegenError` when no kernel can be
+        produced.
+        """
+        from repro.codegen import jit
+        from repro.codegen.ir import KernelIR
+
+        kernel = jit.native_kernel(
+            KernelIR(
+                recurrence=Recurrence(self.recurrence.recursive_signature),
+                plan=replace(self.plan, values_per_thread=self.plan.chunk_size),
+                table=self.table,
+                factor_plan=self.factor_plan,
+                dtype=self.dtype,
+            )
+        )
+
+        def run(row):
+            work = self._map_rows(row, tracer, context)
+            with tracer.span(
+                "native_kernel",
+                cat="solver",
+                args={"n": row.size, "digest": kernel.digest} if tracer.enabled else None,
+                link=_child(context),
+            ):
+                return kernel(work)
+
+        if isinstance(values, list):
+            out = [run(row) if row.size else np.zeros(0, self.dtype) for row in values]
+        elif values.ndim == 1:
+            out = run(values)
+        else:
+            out = np.stack([run(row) for row in values])
+        record = jit.NativeAttempt(
+            used=True, digest=kernel.digest, library_path=str(kernel.library_path)
+        )
+        return out, None, record
+
+    def _sharded(self, values, tracer, context, shard_options) -> np.ndarray:
+        """The process backend: a (B, n) array shards its rows, which
+        need no carry exchange; a 1-D input shards its chunks."""
+        from repro.parallel.backend import solve_batch_sharded, solve_sharded
+
+        m, x = self.plan.chunk_size, self.plan.values_per_thread
+        n = values.shape[-1]
+        # Zero-pad to whole chunks.  Trailing zeros never influence
+        # earlier outputs, so the unpadded prefix is exact.
+        if values.ndim == 2:
+            padded = np.zeros((len(values), -(-n // m) * m), dtype=self.dtype)
+            padded[:, :n] = self._map_rows(values, tracer, context)
+            corrected = solve_batch_sharded(
+                padded, self.table, x, options=shard_options, tracer=tracer
+            )
+            return corrected.reshape(len(values), -1)[:, :n]
+        padded = np.zeros(self.plan.padded_n, dtype=self.dtype)
+        padded[:n] = self._map_rows(values, tracer, context)
+        sharded_ctx = _child(context)
+        with tracer.span(
+            "solve_sharded",
+            cat="solver",
+            args={"chunks": self.plan.num_chunks} if tracer.enabled else None,
+            link=sharded_ctx,
+        ):
+            # Workers correct their shared slabs in place; no host-side
+            # Phase 1 snapshot exists to expose.
+            corrected = solve_sharded(
+                padded, self.table, x,
+                options=shard_options, tracer=tracer, context=sharded_ctx,
+            )
+        return corrected.reshape(-1)[:n]
 
 
 class PLRSolver:
@@ -263,10 +535,11 @@ class PLRSolver:
         Native backend only.  True (default): a
         :class:`~repro.core.errors.BackendError` /
         :class:`~repro.core.errors.CodegenError` from the compile-and-
-        load path degrades the solve to numpy instead of failing it.
-        False: the typed error propagates — what the resilience chain
-        uses so the degradation is *its* decision and gets a typed
-        attempt record.
+        load path degrades the solve to numpy instead of failing it
+        (:class:`PreparedSolve`, the one degradation path every entry
+        point shares).  False: the typed error propagates — what
+        ``plr bench``'s native row and the server's warm-up use to see
+        the failure.
     """
 
     def __init__(
@@ -348,176 +621,37 @@ class PLRSolver:
         context=None,
     ) -> tuple[np.ndarray, SolveArtifacts]:
         tracer = self.tracer
-
-        def link():
-            # One fresh child per span; None stays None so the untraced
-            # hot path allocates nothing.
-            return context.child() if context is not None else None
-
         values = np.asarray(values)
         if values.ndim != 1:
             raise ValueError(f"expected a 1D sequence, got shape {values.shape}")
         n = values.size
         if dtype is None:
             dtype = resolve_dtype(self.recurrence.signature, values.dtype)
-        dtype = np.dtype(dtype)
-
-        backend = resolve_backend(self.backend, n)
-
         if plan is None:
             with tracer.span(
                 "plan",
                 cat="solver",
                 args={"n": n} if tracer.enabled else None,
-                link=link(),
+                link=_child(context),
             ):
                 plan = self.plan_for(n)
-        # A fractional coefficient cast to an integer working dtype
-        # truncates silently (b=0.5 -> 0) and computes a *different*
-        # recurrence; fail with a typed error before any work happens.
-        check_integer_coefficients(
-            self.recurrence.signature.feedforward
-            + self.recurrence.signature.feedback,
-            dtype,
-        )
-
-        with tracer.span("factor_table", cat="solver", link=link()):
-            table = self.factor_table(plan, dtype)
-        factor_plan = optimize_factors(table, self.optimization)
-
-        native_record = None
-        if backend == "native":
-            try:
-                out, native_record = self._solve_native(
-                    self._mapped(values, dtype, tracer, link),
-                    n, plan, table, factor_plan, dtype, tracer, link,
-                )
-            except (BackendError, CodegenError) as exc:
-                if not self.native_fallback:
-                    raise
-                # Degrade to the numpy path below; the typed record on
-                # the artifacts (and the counter/instant) is the story.
-                from repro.codegen.jit import NativeAttempt
-
-                native_record = NativeAttempt(
-                    used=False, error=f"{type(exc).__name__}: {exc}"
-                )
-                global_metrics().counter("native.fallbacks").inc()
-                if tracer.enabled:
-                    tracer.instant(
-                        "native_fallback",
-                        cat="solver",
-                        args={"error": str(exc)[:200]},
-                        link=link(),
-                    )
-            else:
-                artifacts = SolveArtifacts(
-                    plan=plan,
-                    table=table,
-                    factor_plan=factor_plan,
-                    partial=None,
-                    native=native_record,
-                    backend="native",
-                )
-                return out, artifacts
-
-        partial: np.ndarray | None = None
-        if backend == "process":
-            from repro.parallel.backend import solve_sharded
-
-            # Zero-pad to a whole number of chunks.  Trailing zeros never
-            # influence earlier outputs, so the unpadded prefix is exact.
-            padded = np.zeros(plan.padded_n, dtype=dtype)
-            padded[:n] = self._mapped(values, dtype, tracer, link)
-            sharded_ctx = link()
-            with tracer.span(
-                "solve_sharded",
-                cat="solver",
-                args={"chunks": plan.num_chunks} if tracer.enabled else None,
-                link=sharded_ctx,
-            ):
-                # Workers correct their shared slabs in place; no
-                # host-side Phase 1 snapshot exists to expose.
-                corrected = solve_sharded(
-                    padded,
-                    table,
-                    plan.values_per_thread,
-                    options=self.shard_options,
-                    tracer=tracer,
-                    context=sharded_ctx,
-                )
-        else:
-            corrected, partial = solve_tiled(
-                values.reshape(1, n),
-                self.recurrence.signature.feedforward,
-                table,
-                plan.values_per_thread,
-                tracer=tracer,
-                context=context,
-                keep_partial=keep_partial,
+        with tracer.span("factor_table", cat="solver", link=_child(context)):
+            handle = prepare(
+                self.recurrence, n, dtype, self.backend, plan, self.optimization
             )
-            if partial is not None:
-                partial = partial.reshape(-1, plan.chunk_size)
-
-        out = corrected.reshape(-1)[:n]
+        out, partial, native = handle(
+            values, tracer, context, keep_partial,
+            self.shard_options, self.native_fallback,
+        )
         artifacts = SolveArtifacts(
             plan=plan,
-            table=table,
-            factor_plan=factor_plan,
+            table=handle.table,
+            factor_plan=handle.factor_plan,
             partial=partial,
-            native=native_record,
-            backend=backend,
+            native=native,
+            backend=handle.backend,
         )
         return out, artifacts
-
-    def _mapped(self, values, dtype, tracer, link) -> np.ndarray:
-        """The whole-array cast and map stage (2) the native and process
-        backends start from; the single backend maps tile by tile."""
-        work = values.astype(dtype, copy=False)
-        if self.recurrence.has_map_stage:
-            with tracer.span("map_stage", cat="solver", link=link()):
-                work = self.recurrence.apply_map_stage(work)
-        return work
-
-    def _solve_native(
-        self, work, n, plan, table, factor_plan, dtype, tracer, link
-    ):
-        """Run the solve through a JIT-compiled C kernel, in this process.
-
-        ``work`` is the post-map-stage, unpadded input.  The kernel is
-        built from the *recursive-only* signature with one serial cell
-        spanning each chunk (``x = m``) — the doubling hierarchy inside
-        a chunk is a GPU shape; on a CPU the chunk-serial solve plus the
-        carry spine plus the bulk correction is both less work and the
-        layout OpenMP parallelizes cleanly.  The kernel pads internally,
-        so the host neither maps nor pads twice.
-
-        Raises :class:`~repro.core.errors.BackendError` /
-        :class:`~repro.core.errors.CodegenError` when a kernel cannot be
-        produced; the caller decides whether that degrades or fails.
-        """
-        from repro.codegen.ir import KernelIR
-        from repro.codegen.jit import NativeAttempt, native_kernel
-
-        ir = KernelIR(
-            recurrence=Recurrence(self.recurrence.recursive_signature),
-            plan=replace(plan, values_per_thread=plan.chunk_size),
-            table=table,
-            factor_plan=factor_plan,
-            dtype=dtype,
-        )
-        kernel = native_kernel(ir)
-        with tracer.span(
-            "native_kernel",
-            cat="solver",
-            args={"n": n, "digest": kernel.digest} if tracer.enabled else None,
-            link=link(),
-        ):
-            out = kernel(work)
-        record = NativeAttempt(
-            used=True, digest=kernel.digest, library_path=str(kernel.library_path)
-        )
-        return out, record
 
 
 def plr_solve(signature: str | Signature, values: np.ndarray) -> np.ndarray:

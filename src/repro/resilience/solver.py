@@ -49,9 +49,11 @@ from repro.gpusim.spec import MachineSpec
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import TracePid, coerce_tracer
+from repro.parallel.sharding import ShardOptions
+from repro.plr import solver as plr_solver
 from repro.plr.phase1 import check_integer_coefficients
 from repro.plr.planner import ExecutionPlan
-from repro.plr.solver import PLRSolver, resolve_backend
+from repro.plr.solver import PLRSolver, check_backend, prepare, resolve_backend
 
 __all__ = [
     "AttemptRecord",
@@ -203,16 +205,16 @@ class ResilientSolver:
         Backend plumbing for the plr engine, as on
         :class:`~repro.plr.solver.PLRSolver`.  With
         ``backend="process"`` a dead or stuck pool worker surfaces as a
-        typed :class:`~repro.core.errors.WorkerError` and the chain
-        degrades to the single-process path — the multicore level is an
-        accelerator, never a correctness dependency.  With
+        typed :class:`~repro.core.errors.WorkerError`; with
         ``backend="native"``, or ``"auto"`` where it resolves to native,
-        the solver is built *strict* (``native_fallback=False``) so a
-        missing compiler or failed compile surfaces as a typed
-        :class:`~repro.core.errors.BackendError` here, where the chain
-        records a ``"backend"`` attempt and degrades to the numpy path
-        without consuming a retry — the toolchain, like the pool, is an
-        accelerator, never a correctness dependency.
+        each attempt runs its prepared solve *strict*
+        (``native_fallback=False``), so a missing compiler or failed
+        compile surfaces as a typed
+        :class:`~repro.core.errors.BackendError`.  Either way the chain
+        records a ``"worker"`` / ``"backend"`` attempt, switches its
+        backend to single and goes again without consuming a retry —
+        the pool and the toolchain are accelerators, never correctness
+        dependencies.
     context:
         Optional :class:`~repro.obs.context.TraceContext` naming the
         request this chain serves.  When set, the chain emits a
@@ -241,9 +243,10 @@ class ResilientSolver:
         recurrence = Recurrence.coerce(recurrence)
         if engine not in ("plr", "sim"):
             raise ValueError(f"engine must be plr|sim, got {engine!r}")
+        check_backend(backend)
         if backend != "single" and engine == "sim":
             raise ValueError(
-                "backend='process' applies to the plr engine only; the "
+                f"backend={backend!r} applies to the plr engine only; the "
                 "simulator models its own parallelism"
             )
         self.recurrence = recurrence
@@ -259,17 +262,9 @@ class ResilientSolver:
         self.tracer = coerce_tracer(tracer)
         self.context = context
         self.metrics = MetricsRegistry()
-        self._solver = PLRSolver(
-            recurrence,
-            machine=self.machine if engine == "plr" else None,
-            tracer=self.tracer,
-            backend=backend,
-            workers=workers,
-            shard_options=shard_options,
-            # Strict: the chain owns the degradation decision, so a
-            # native-backend failure must surface as a typed error here
-            # rather than silently falling back inside the solver.
-            native_fallback=False,
+        self.backend = backend
+        self.shard_options = (
+            shard_options if shard_options is not None else ShardOptions(workers=workers)
         )
         self._pending_events: list[FaultEvent] = []
 
@@ -402,47 +397,29 @@ class ResilientSolver:
                     plan = shrunk
                     continue
                 break
-            except WorkerError as exc:
+            except (WorkerError, BackendError) as exc:
                 last_error = exc
+                worker = isinstance(exc, WorkerError)
+                outcome = "worker" if worker else "backend"
                 report.attempts.append(
-                    self._record(dtype, plan, seed, "worker", str(exc), t0, attempt_ctx)
+                    self._record(dtype, plan, seed, outcome, str(exc), t0, attempt_ctx)
                 )
-                self.metrics.counter("resilience.worker_faults").inc()
-                if self._solver.backend == "process":
-                    # A broken pool is not transient within this solve:
-                    # drop to the single-process path and go again
-                    # without consuming a retry — same arithmetic, no
-                    # pool to break.
-                    self._solver = PLRSolver(
-                        self.recurrence,
-                        machine=self.machine if self.engine == "plr" else None,
-                        tracer=self.tracer,
-                    )
-                    self._degrade(
-                        report, "process backend failed: single-process fallback"
-                    )
-                    continue
-            except BackendError as exc:
-                last_error = exc
-                report.attempts.append(
-                    self._record(dtype, plan, seed, "backend", str(exc), t0, attempt_ctx)
-                )
-                self.metrics.counter("resilience.backend_faults").inc()
+                self.metrics.counter(f"resilience.{outcome}_faults").inc()
                 # Key on the backend the attempt ran: "auto" raises
                 # BackendError only once it resolved to native.
-                if resolve_backend(self._solver.backend, values.size) == "native":
-                    # No compiler / failed compile is not transient
-                    # within this solve: drop to the numpy path and go
-                    # again without consuming a retry — same recurrence,
-                    # no toolchain dependency.
-                    self._solver = PLRSolver(
-                        self.recurrence,
-                        machine=self.machine if self.engine == "plr" else None,
-                        tracer=self.tracer,
-                    )
+                if resolve_backend(self.backend, values.size) == (
+                    "process" if worker else "native"
+                ):
+                    # A broken pool or a missing toolchain is not
+                    # transient within this solve: switch to the single
+                    # backend and go again without consuming a retry —
+                    # same recurrence, nothing left to break.
+                    self.backend = "single"
                     self._degrade(
                         report,
-                        "native backend failed: numpy single-process fallback",
+                        "process backend failed: single-process fallback"
+                        if worker
+                        else "native backend failed: numpy single-process fallback",
                     )
                     continue
             except DeadlockError as exc:
@@ -493,7 +470,9 @@ class ResilientSolver:
 
     # ------------------------------------------------------------------
     def _base_plan(self, n: int, dtype: np.dtype) -> ExecutionPlan:
-        plan = self._solver.plan_for(n)
+        # Looked up on the solver module when called, so a wrapper
+        # installed there (the benchmark's traced run) sees this plan.
+        plan = plr_solver.plan_execution(self.recurrence.signature, n, self.machine)
         if self.chunk_size is not None:
             plan = replace(
                 plan,
@@ -586,7 +565,13 @@ class ResilientSolver:
             self._pending_events = list(result.fault_events)
             output = result.output
         else:
-            table = self._solver.factor_table(plan, dtype)
+            with self.tracer.span(
+                "factor_table",
+                cat="solver",
+                link=ctx.child() if ctx is not None else None,
+            ):
+                handle = prepare(self.recurrence, values.size, dtype, self.backend, plan)
+            table = handle.table
             if table.overflow_risk:
                 raise NumericalError(
                     f"factor table for m={plan.chunk_size} predicted to "
@@ -595,9 +580,12 @@ class ResilientSolver:
                 )
             # An attempt is allowed to overflow — that is precisely what
             # the health check below detects — so keep numpy quiet here.
+            # Strict: the chain owns the degradation decision, so a
+            # native failure surfaces here as a typed error.
             with np.errstate(over="ignore", invalid="ignore"):
-                output = self._solver.solve(
-                    values, plan=plan, dtype=dtype, context=ctx
+                output, _, _ = handle(
+                    values, self.tracer, ctx,
+                    shard_options=self.shard_options, native_fallback=False,
                 )
         if np.issubdtype(np.dtype(dtype), np.floating) and not np.isfinite(output).all():
             bad = int((~np.isfinite(output)).sum())

@@ -95,6 +95,36 @@ class TestBatchSolverEquivalence:
                 np.ones((2, 8), dtype=np.int32), dtype=np.int32
             )
 
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_native_failure_degrades_like_the_single_solver(
+        self, ragged, rng, monkeypatch
+    ):
+        """A kernel that cannot be built degrades the whole batch to the
+        numpy pass, counted and traced once per solve, as on PLRSolver."""
+        from repro.codegen import jit
+        from repro.core.errors import BackendError
+        from repro.obs.metrics import global_metrics
+
+        def broken(ir, workdir=None):
+            raise BackendError("compiler crashed")
+
+        monkeypatch.setattr(jit, "native_kernel", broken)
+        batch = rng.integers(-50, 50, size=(4, 3000)).astype(np.int32)
+        values = [row[: 100 * (i + 1)] for i, row in enumerate(batch)] if ragged else batch
+        fallbacks = global_metrics().counter("native.fallbacks")
+        before = fallbacks.value
+        tracer = Tracer()
+        solver = BatchSolver("(1: 2, -1)", tracer=tracer, backend="native")
+        for _ in range(2):
+            got = solver.solve(values)
+        expected = BatchSolver("(1: 2, -1)").solve(values)
+        for out, want in zip(got, expected):
+            assert out.tobytes() == want.tobytes()
+        assert fallbacks.value - before == 2
+        instants = [e for e in tracer.events if e.name == "native_fallback"]
+        assert len(instants) == 2
+        assert "compiler crashed" in instants[0].args["error"]
+
 
 class TestBatchPlanner:
     def test_groups_by_signature_dtype_and_chunk_size(self):

@@ -42,6 +42,33 @@ class TestRunCommand:
         assert main(["run", "(0.2: 0.8)", "-n", "20000", "--backend", "python"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("backend", ["solver", "native", "auto"])
+    def test_times_a_warm_solve(self, backend, capsys, monkeypatch):
+        """The first solve pays table builds and the kernel load; the
+        timer starts after it and stops after the second."""
+        import time
+        import types
+
+        import repro.cli as cli
+        from repro.plr.solver import PLRSolver
+
+        events = []
+        solve = PLRSolver.solve
+
+        def counted(self, *args, **kwargs):
+            events.append("solve")
+            return solve(self, *args, **kwargs)
+
+        def clock():
+            events.append("clock")
+            return time.perf_counter()
+
+        monkeypatch.setattr(PLRSolver, "solve", counted)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock))
+        assert main(["run", "(0.2: 0.8)", "-n", "5000", "--backend", backend]) == 0
+        assert events == ["solve", "clock", "solve", "clock"]
+        assert "OK" in capsys.readouterr().out
+
 
 class TestInfoCommand:
     def test_reports_plan_and_decisions(self, capsys):

@@ -201,11 +201,31 @@ class TestNativeEquivalence:
 
     def test_batch_solver_native_matches(self, rng):
         from repro.batch.solver import BatchSolver
+        from repro.plr.nd import solve_batch
 
         values = rng.integers(-50, 50, size=(6, 4000)).astype(np.int32)
         native = BatchSolver("(1: 2, -1)", backend="native")
         single = BatchSolver("(1: 2, -1)")
-        np.testing.assert_array_equal(native.solve(values), single.solve(values))
+        expected = single.solve(values)
+        np.testing.assert_array_equal(native.solve(values), expected)
+        # solve_batch takes every backend name, as the solvers do.
+        got = solve_batch(values, "(1: 2, -1)", backend="native")
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_batch_solver_fetches_its_kernel_once_per_solve(self, rng, monkeypatch):
+        from repro.batch.solver import BatchSolver
+
+        fetched = []
+        original = jit.native_kernel
+
+        def spy(ir, workdir=None):
+            fetched.append(ir.plan.chunk_size)
+            return original(ir, workdir)
+
+        monkeypatch.setattr(jit, "native_kernel", spy)
+        rows = [rng.integers(-50, 50, size=n).astype(np.int32) for n in range(100, 900, 100)]
+        outputs = BatchSolver("(1: 2, -1)", backend="native").solve(rows)
+        assert len(outputs) == 8 and len(fetched) == 1
 
     def test_batch_solver_native_solves_ragged_rows_at_their_length(self, rng):
         from repro.batch.solver import BatchSolver

@@ -63,6 +63,16 @@ class TestSolveBatch:
         with pytest.raises(ValueError):
             solve_batch(rng.integers(0, 5, 10), "(1: 1)")
 
+    def test_rejects_unknown_backend_like_every_entry_point(self, rng):
+        from repro.plr.solver import check_backend
+
+        with pytest.raises(ValueError) as expected:
+            check_backend("bogus")
+        for values in (rng.integers(0, 5, (2, 10)), [np.arange(3)], np.zeros((0, 4))):
+            with pytest.raises(ValueError) as got:
+                solve_batch(values, "(1: 1)", backend="bogus")
+            assert str(got.value) == str(expected.value)
+
     def test_input_not_modified(self, rng):
         values = rng.integers(-9, 9, (4, 64)).astype(np.int32)
         snapshot = values.copy()

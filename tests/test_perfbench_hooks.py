@@ -52,7 +52,8 @@ def test_every_traced_target_resolves_where_install_looks(perfbench):
 
 def test_batch_mixed_setup_builds_what_the_grouped_passes_use(perfbench, monkeypatch):
     _, workloads = perfbench
-    import repro.plr.nd as nd
+    import repro.plr.solver as plr_solver
+    from repro.batch.solver import BatchSolver
 
     workload = workloads.BatchMixed(1, 2)
     expected = {
@@ -61,15 +62,48 @@ def test_batch_mixed_setup_builds_what_the_grouped_passes_use(perfbench, monkeyp
     }
     assert expected
     looked_up = set()
-    original = nd.cached_factor_table
+    grouped = []
+    original_lookup = plr_solver.cached_factor_table
+    original_solve = BatchSolver.solve
 
     def spy(signature, chunk_size, dtype):
-        looked_up.add((str(signature), chunk_size, np.dtype(dtype).str))
-        return original(signature, chunk_size, dtype)
+        # Isolation re-runs look tables up through the same function;
+        # only the grouped passes are the set-up's contract.
+        if grouped:
+            looked_up.add((str(signature), chunk_size, np.dtype(dtype).str))
+        return original_lookup(signature, chunk_size, dtype)
 
-    monkeypatch.setattr(nd, "cached_factor_table", spy)
+    def solve(self, *args, **kwargs):
+        grouped.append(self)
+        try:
+            return original_solve(self, *args, **kwargs)
+        finally:
+            grouped.pop()
+
+    monkeypatch.setattr(plr_solver, "cached_factor_table", spy)
+    monkeypatch.setattr(BatchSolver, "solve", solve)
     engine = workload.engines["single"]
     with np.errstate(all="ignore"):
         for queue in workload.queues:
             engine.execute(queue)
     assert looked_up == expected
+
+
+def test_resilient_chain_plans_through_the_traced_planner(monkeypatch):
+    # The traced run wraps plan_execution on repro.plr.solver; the
+    # chain's planning (batch_mixed's isolation re-runs) must go through
+    # that attribute to count in plr.plan.self_s.
+    import repro.plr.solver as plr_solver
+    from repro.resilience import ResilientSolver
+
+    planned = []
+    original = plr_solver.plan_execution
+
+    def spy(signature, n, *args, **kwargs):
+        planned.append(n)
+        return original(signature, n, *args, **kwargs)
+
+    monkeypatch.setattr(plr_solver, "plan_execution", spy)
+    report = ResilientSolver("(1: 1)").solve_with_report(np.arange(100, dtype=np.int32))
+    assert report.ok
+    assert planned == [100]

@@ -127,6 +127,24 @@ class TestAutoTuner:
                 candidate_x=[99],
             )
 
+    @pytest.mark.parametrize(
+        "objective,candidates,cause",
+        [
+            (lambda p: 0.0, [], "empty"),
+            (lambda p: float("inf"), None, "inf or NaN"),
+            (lambda p: float("nan"), None, "inf or NaN"),
+        ],
+        ids=["no-candidates", "all-inf", "all-nan"],
+    )
+    def test_no_choosable_candidate_raises_typed(self, objective, candidates, cause):
+        with pytest.raises(PlanError, match=cause):
+            tuned_plan(
+                Signature.prefix_sum(),
+                1 << 20,
+                objective=objective,
+                candidate_x=candidates,
+            )
+
     def test_tuned_with_cost_model(self):
         # Auto-tune against the actual analytic model, like SAM does.
         from repro.baselines.plr_code import PLRCode

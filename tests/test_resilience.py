@@ -387,6 +387,16 @@ class TestResilientSolver:
         with pytest.raises(ValueError, match="engine"):
             ResilientSolver("(1: 1)", engine="fpga")
 
+    @pytest.mark.parametrize("backend", ["native", "auto", "process"])
+    def test_sim_engine_names_the_backend_it_rejects(self, backend):
+        with pytest.raises(ValueError) as excinfo:
+            ResilientSolver("(1: 1)", engine="sim", backend=backend)
+        assert str(excinfo.value).startswith(f"backend={backend!r} applies to the plr engine")
+
+    def test_sim_engine_rejects_unknown_backend_like_every_entry_point(self):
+        with pytest.raises(ValueError, match="unknown backend 'turbo'; expected one of"):
+            ResilientSolver("(1: 1)", engine="sim", backend="turbo")
+
     @pytest.mark.parametrize("backend", ["native", "auto"])
     def test_native_failure_degrades_to_numpy(self, backend, monkeypatch):
         """A kernel that cannot be built costs one ``backend`` attempt,
@@ -424,6 +434,21 @@ class TestFactorCache:
         # Solving again after a clear still works (cold rebuild).
         out = solver.solve(np.arange(16, dtype=np.int32))
         assert out.shape == (16,)
+
+    def test_lossy_integer_request_builds_only_the_table_it_solves_with(self):
+        """The integer check runs before the table lookup, and each
+        attempt looks its table up once."""
+        from repro.plr.solver import clear_factor_cache, factor_cache_stats
+
+        clear_factor_cache()
+        x = np.arange(100, dtype=np.int32)
+        report = ResilientSolver("(0.2: 0.8)").solve_with_report(x, dtype=np.int32)
+        stats = factor_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 0)
+        assert [a.outcome for a in report.attempts] == ["numerical", "ok"]
+        assert report.degradations == ["dtype promoted int32 -> float64"]
+        assert report.dtype == np.float64
+        clear_factor_cache()
 
     def test_cache_key_normalizes_dtype_spelling(self):
         from repro.plr.solver import _cached_table, clear_factor_cache
