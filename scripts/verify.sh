@@ -12,9 +12,11 @@
 #      native-marked tests skip themselves when no C compiler exists).
 #   2. serve self-test — a live ephemeral server, one pass over the
 #      reply contract (7 checks); repeated with --backend native when
-#      a C compiler is available, and with --backend auto.  With a
-#      compiler, two `plr run` solves also check the native dispatch
-#      end to end against the serial reference (exit 1 on a mismatch).
+#      a C compiler is available, and with --backend auto.  Two
+#      `plr run` solves check Phase 1's integer running sums end to end
+#      against the serial reference (exit 1 on a mismatch): stride 3,
+#      which does not divide the chunk size, and three sums in a row.
+#      With a compiler, two more check the native dispatch the same way.
 #   3. bench gate      — re-runs the committed BENCH_parallel.json
 #      benchmark and fails on a >25% per-row slowdown.
 #
@@ -37,6 +39,9 @@ python -m pytest -x -q
 
 echo "== stage 2/3: serve self-test =="
 python -m repro.cli serve --self-test
+echo "== stage 2/3: integer running-sum solves against the serial reference =="
+python -m repro.cli run "(1: 0, 0, 1)" -n 70001
+python -m repro.cli run "(1: 3, -3, 1)" -n 70001
 if command -v cc >/dev/null 2>&1 || command -v gcc >/dev/null 2>&1; then
     echo "== stage 2/3: serve self-test (native backend) =="
     python -m repro.cli serve --self-test --backend native

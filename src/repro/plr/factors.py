@@ -199,6 +199,39 @@ class CorrectionFactorTable:
         return tuple(self.constant_value(j) == 1 for j in range(self.order))
 
     @cached_property
+    def running_sum_strides(self) -> tuple[int, ...] | None:
+        """The strides s_1 <= ... <= s_r with ``1 - sum_j b_j z^j =
+        prod_i (1 - z^{s_i})``, for an integer table; None otherwise.
+
+        Such a recurrence is r running sums in a row, each along its
+        stride: prefix sums give (1,), tuple prefix sums (s,), order-k
+        prefix sums k ones.  Integer addition wraps in a ring, so those
+        sums equal the merge tree's result bit for bit (Section 3.1's
+        specialization by table structure, taken to the whole chunk).
+        Floats always get None: a running sum would reorder their
+        additions.  Found by exact integer division by the lowest
+        remaining ``(1 - z^s)``; any remainder means the polynomial is
+        no such product.
+        """
+        if not np.issubdtype(self.dtype, np.integer):
+            return None
+        feedback = self.signature.feedback
+        if not all(float(b).is_integer() for b in feedback):
+            return None
+        poly = [1] + [-int(b) for b in feedback]
+        strides = []
+        while len(poly) > 1:
+            s = next(j for j in range(1, len(poly)) if poly[j])
+            # poly = quotient * (1 - z^s): quotient[i] = poly[i] + quotient[i-s].
+            for i in range(s, len(poly)):
+                poly[i] += poly[i - s]
+            if any(poly[-s:]):
+                return None
+            del poly[-s:]
+            strides.append(s)
+        return tuple(strides)
+
+    @cached_property
     def live_factors(self) -> np.ndarray:
         """The leading columns of :attr:`factors` up to the longest row
         extent: the only columns a Phase 2 correction can change."""

@@ -20,6 +20,13 @@ The key invariant (tested directly): after the level that produces
 chunks of width w, the first w outputs of every chunk-aligned window
 are final, and in particular the first w outputs of the whole sequence
 equal the serial reference.
+
+Integer prefix families — prefix, tuple and higher-order prefix sums,
+whose recursion factors as a product of ``(1 - z^s)`` — skip both steps
+on a CPU: each chunk gets one running sum per factor, which integer
+wraparound makes exactly equal to the merged result.  This is the
+paper's specialization by table structure (§3.1) applied to the whole
+chunk rather than to one factor row.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ __all__ = [
     "phase1",
     "phase1_inplace",
     "phase1_scratch",
+    "running_sum",
+    "lane_width",
     "doubling_widths",
     "check_integer_coefficients",
 ]
@@ -163,13 +172,30 @@ def doubling_widths(x: int, chunk_size: int) -> list[int]:
     return widths
 
 
-LANE_THREADS = 8
-"""Threads per lane-major segment: Phase 1 runs the widths below
-``W0 = min(LANE_THREADS * x, m)`` with each W0-word segment transposed
-onto a contiguous lane axis (see :func:`phase1_inplace`).  A wider W0
-moves more levels onto the lanes, but numpy's transposed copies get
-slower as W0 grows; in sweeps of 4 to 64 on 1 MiB tiles (2-vCPU
-x86_64), no other value was consistently faster."""
+LANE_WORDS = 64
+"""Lower bound on the lane-major segment width W0, in words; see
+:func:`lane_width`."""
+
+
+def lane_width(x: int, chunk_size: int) -> int:
+    """W0: the smallest ``x * 2^j`` of at least :data:`LANE_WORDS` words,
+    capped at the chunk size.
+
+    Phase 1 runs the widths below W0 with each W0-word segment
+    transposed onto a contiguous lane axis (see :func:`phase1_inplace`).
+    W0 is sized in words, not as a number of x-word threads: 8 threads
+    made it 8 words at x = 1, where the 8-word merge then walked 8-word
+    runs in the natural layout.  A wider W0 moves more levels onto the
+    lanes, but numpy's transposed copies get slower as it grows.  On
+    1 MiB tiles at m = 1024, x = 1 (2-vCPU x86_64), 64 words against 8
+    cut float32 filters from 17-19 to about 9.5 ns/word; float64 was
+    level within noise from 32 to 128 words.  W0 is a multiple of x
+    that divides any chunk size x * 2^L.
+    """
+    width = x
+    while width < LANE_WORDS:
+        width *= 2
+    return min(width, chunk_size)
 
 
 def phase1_scratch(words: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +231,16 @@ def phase1_inplace(
 
     The matrix is processed in blocks of whole chunks of at most
     :data:`~repro.plr.phase2.TILE_BYTES`, so every level of a block
-    runs in cache.  Within a block, the levels narrower than
-    ``W0 = min(LANE_THREADS * x, m)`` — the thread-local step and the
-    first merges, whose rows are a few words long — run on a transposed
-    copy in which word i of every W0-word segment lies on one contiguous
+    runs in cache.  An integer table whose recursion is a product of
+    running sums (its
+    :attr:`~repro.plr.factors.CorrectionFactorTable.running_sum_strides`)
+    takes no merges at all: each block gets one in-place
+    :func:`running_sum` per stride, which wraps in the integer ring
+    exactly as the merges would, and x plays no part.  Every other
+    table runs the merge tree.  Within a block, the levels narrower
+    than W0 (:func:`lane_width`) — the thread-local step and the first
+    merges, whose rows are a few words long — run on a transposed copy
+    in which word i of every W0-word segment lies on one contiguous
     lane, so each broadcast walks long vectors instead of thousands of
     short runs.  The block is then copied back for the levels from W0
     to m/2.  Both layouts apply the same factors in the same order, so
@@ -221,11 +253,11 @@ def phase1_inplace(
     serial path).
 
     ``scratch`` is a :func:`phase1_scratch` pair the caller reuses;
-    its size sets the block.  Without it, one pair is allocated per
-    call.  With an enabled ``tracer``, each block emits one
-    ``thread_local_solve`` span (for x > 1) and one ``merge_level`` span
-    per width (cat ``phase1``) recording the width and how many pairs
-    merged.
+    its size sets the block.  Without it, the merge tree allocates one
+    pair per call.  With an enabled ``tracer``, each block emits one
+    ``running_sum`` span per stride, or one ``thread_local_solve`` span
+    (for x > 1) and one ``merge_level`` span per width (cat ``phase1``)
+    recording the width and how many pairs merged.
     """
     m = table.chunk_size
     if work.ndim != 2 or work.shape[1] != m:
@@ -235,25 +267,54 @@ def phase1_inplace(
     num_chunks = work.shape[0]
     if num_chunks == 0:
         return
-    if scratch is None:
+    widths = doubling_widths(x, m)
+    strides = table.running_sum_strides
+    if scratch is not None:
+        block = scratch[0].size // m
+    else:
         block = min(num_chunks, max(1, TILE_BYTES // (m * work.itemsize)))
-        scratch = phase1_scratch(block * m, work.dtype)
-    block = scratch[0].size // m
+        if strides is None:
+            scratch = phase1_scratch(block * m, work.dtype)
     feedback = [
         b if isinstance(b, int) else float(b) for b in table.signature.feedback
     ]
-    widths = doubling_widths(x, m)
     for start in range(0, num_chunks, block):
-        _phase1_block(
-            work[start : start + block], table, x, feedback, widths, tracer, scratch
-        )
+        chunks = work[start : start + block]
+        if strides is None:
+            _phase1_block(chunks, table, x, feedback, widths, tracer, scratch)
+            continue
+        for stride in strides:
+            with tracer.span(
+                "running_sum",
+                cat="phase1",
+                args={"stride": stride} if tracer.enabled else None,
+            ):
+                running_sum(chunks, stride)
+
+
+def running_sum(work: np.ndarray, stride: int) -> None:
+    """``y[i] = v[i] + y[i - stride]`` along every chunk, in place.
+
+    ``work`` is a ``(num_chunks, m)`` chunk matrix and every chunk
+    starts from a zero history.  One ``np.add.accumulate`` runs over a
+    ``(num_chunks, m/stride, stride)`` view when the stride divides m;
+    any other stride accumulates each of its residue classes
+    ``work[:, r::stride]`` in turn.
+    """
+    num_chunks, m = work.shape
+    if m % stride == 0:
+        views = [work.reshape(num_chunks, m // stride, stride)]
+    else:
+        views = [work[:, r::stride] for r in range(stride)]
+    for view in views:
+        np.add.accumulate(view, axis=1, out=view)
 
 
 def _phase1_block(work, table, x, feedback, widths, tracer, scratch) -> None:
     """Phase 1 on one cache-sized block of chunks; see :func:`phase1_inplace`."""
     lane_buffer, products = scratch
     size = work.size
-    w0 = min(LANE_THREADS * x, table.chunk_size)
+    w0 = lane_width(x, table.chunk_size)
     segments = work.reshape(size // w0, w0)
     lanes = lane_buffer[:size].reshape(w0, size // w0)
     np.copyto(lanes, segments.T)
@@ -308,7 +369,8 @@ def phase1(
     With an enabled ``tracer``, the thread-local solve and every
     merge-doubling level emit one span each (cat ``phase1``), recording
     the pair width and how many pairs merged — the numpy mirror of the
-    simulator's per-block ``merge`` events.
+    simulator's per-block ``merge`` events.  A running-sum table emits
+    one ``running_sum`` span per stride instead.
     """
     m = table.chunk_size
     if padded.ndim not in (1, 2):

@@ -211,10 +211,11 @@ class ResilientSolver:
         (``native_fallback=False``), so a missing compiler or failed
         compile surfaces as a typed
         :class:`~repro.core.errors.BackendError`.  Either way the chain
-        records a ``"worker"`` / ``"backend"`` attempt, switches its
-        backend to single and goes again without consuming a retry —
-        the pool and the toolchain are accelerators, never correctness
-        dependencies.
+        records a ``"worker"`` / ``"backend"`` attempt, switches that
+        solve to the single backend and goes again without consuming a
+        retry — the pool and the toolchain are accelerators, never
+        correctness dependencies.  The next solve tries the named
+        backend again.
     context:
         Optional :class:`~repro.obs.context.TraceContext` naming the
         request this chain serves.  When set, the chain emits a
@@ -335,6 +336,9 @@ class ResilientSolver:
             return self._serial_fallback(values, dtype, report, start)
 
         plan = self._base_plan(values.size, dtype) if self.engine == "plr" else None
+        # An accelerator failure switches this solve, not the solver, to
+        # single: the next solve tries the accelerator again.
+        backend = self.backend
         seed = self.sim_seed
         retries = 0
         last_error: ReproError = SimulationError("no attempts ran")
@@ -357,7 +361,7 @@ class ResilientSolver:
                 self.context.child() if self.context is not None else None
             )
             try:
-                output = self._attempt(values, dtype, plan, seed, attempt_ctx)
+                output = self._attempt(values, dtype, plan, backend, seed, attempt_ctx)
                 report.attempts.append(
                     self._record(dtype, plan, seed, "ok", "", t0, attempt_ctx)
                 )
@@ -407,14 +411,14 @@ class ResilientSolver:
                 self.metrics.counter(f"resilience.{outcome}_faults").inc()
                 # Key on the backend the attempt ran: "auto" raises
                 # BackendError only once it resolved to native.
-                if resolve_backend(self.backend, values.size) == (
+                if resolve_backend(backend, values.size) == (
                     "process" if worker else "native"
                 ):
                     # A broken pool or a missing toolchain is not
                     # transient within this solve: switch to the single
                     # backend and go again without consuming a retry —
                     # same recurrence, nothing left to break.
-                    self.backend = "single"
+                    backend = "single"
                     self._degrade(
                         report,
                         "process backend failed: single-process fallback"
@@ -543,6 +547,7 @@ class ResilientSolver:
         values: np.ndarray,
         dtype: np.dtype,
         plan: ExecutionPlan | None,
+        backend: str,
         seed: int,
         ctx: TraceContext | None = None,
     ) -> np.ndarray:
@@ -570,7 +575,7 @@ class ResilientSolver:
                 cat="solver",
                 link=ctx.child() if ctx is not None else None,
             ):
-                handle = prepare(self.recurrence, values.size, dtype, self.backend, plan)
+                handle = prepare(self.recurrence, values.size, dtype, backend, plan)
             table = handle.table
             if table.overflow_risk:
                 raise NumericalError(

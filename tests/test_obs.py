@@ -338,9 +338,23 @@ class TestSolverIntegration:
             out, serial_full(values, solver.recurrence.signature)
         )
         names = {e.name for e in tracer.events}
-        assert {"plan", "factor_table", "phase1", "phase2", "merge_level"} <= names
+        # An integer prefix sum's Phase 1 is one running sum, no merges.
+        assert {"plan", "factor_table", "phase1", "phase2", "running_sum"} <= names
+        assert "merge_level" not in names
         lookbacks = [e for e in tracer.events if e.name == "lookback"]
         assert lookbacks and all(e.args["distance"] == 1 for e in lookbacks)
+
+    def test_float_solver_emits_merge_level_spans(self):
+        tracer = Tracer()
+        solver = PLRSolver("(1 : 1)", tracer=tracer)
+        values = np.arange(5000, dtype=np.float64)
+        out = solver.solve(values)
+        np.testing.assert_array_equal(
+            out, serial_full(values, solver.recurrence.signature)
+        )
+        names = {e.name for e in tracer.events}
+        assert {"plan", "factor_table", "phase1", "phase2", "merge_level"} <= names
+        assert "running_sum" not in names
 
     def test_factor_cache_stats_mirror_lru(self):
         clear_factor_cache()

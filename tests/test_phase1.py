@@ -1,5 +1,6 @@
 """Phase 1: iterative pairwise merging and its invariants."""
 
+import dataclasses
 from importlib import import_module
 
 import numpy as np
@@ -8,18 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coefficients import table1_signatures
-from repro.core.reference import serial_recurrence
+from repro.core.reference import serial_full, serial_recurrence
 from repro.core.signature import Signature
 from repro.obs.tracer import Tracer
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.phase1 import (
     doubling_widths,
+    lane_width,
     merge_level,
     phase1,
     phase1_inplace,
     phase1_scratch,
     thread_local_solve,
 )
+from repro.plr.solver import PLRSolver
 
 PAPER_INPUT = np.array(
     [3, -4, 5, -6, 7, -8, 9, -10, 11, -12, 13, -14, 15, -16, 17, -18, 19, -20, 21, -22],
@@ -284,9 +287,12 @@ def lane_cases() -> list:
     return [
         pytest.param(name, dtype, id=f"{name}-{np.dtype(dtype).name}")
         for name, signature in TABLE1.items()
-        for dtype in (np.int32, np.float32, np.float64)
+        for dtype in (np.int32, np.int64, np.float32, np.float64)
         if signature.is_integer or not np.issubdtype(dtype, np.integer)
     ]
+
+
+INTEGER_NAMES = [name for name, signature in TABLE1.items() if signature.is_integer]
 
 
 def lane_inputs(dtype, shape, seed: int) -> np.ndarray:
@@ -294,6 +300,13 @@ def lane_inputs(dtype, shape, seed: int) -> np.ndarray:
     if np.issubdtype(dtype, np.integer):
         return rng.integers(-50, 50, shape).astype(dtype)
     return rng.standard_normal(shape).astype(dtype)
+
+
+def wrapping_inputs(shape, seed: int) -> np.ndarray:
+    """int32 values within 100 of +-2^31, so nearly every sum wraps."""
+    rng = np.random.default_rng(seed)
+    near = rng.integers(2**31 - 100, 2**31, shape, dtype=np.int64)
+    return np.where(rng.random(shape) < 0.5, near, -near).astype(np.int32)
 
 
 class TestLaneMajorEquivalence:
@@ -314,10 +327,61 @@ class TestLaneMajorEquivalence:
             phase1_inplace(work, table, x)
         assert_same_bits(work, expected)
 
+    @pytest.mark.parametrize("x", LANE_XS)
+    @pytest.mark.parametrize("name", INTEGER_NAMES)
+    def test_integer_wraparound(self, name, x):
+        m = 64 * x
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), m, np.int32)
+        inputs = wrapping_inputs((5, m), seed=x)
+        work, expected = inputs.copy(), inputs.copy()
+        natural_phase1(expected, table, x)
+        phase1_inplace(work, table, x)
+        assert_same_bits(work, expected)
+        feedback = list(TABLE1[name].feedback)
+        for chunk, result in zip(inputs, work):
+            np.testing.assert_array_equal(result, serial_recurrence(chunk, feedback))
+
+    @pytest.mark.parametrize("text", ["(1: 0, 0, 1)", "(1: 1, 0, 1, -1)"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_stride_that_does_not_divide_m(self, text, dtype):
+        # Stride 3 runs on its three residue-class views; in (1: 1, 0, 1, -1)
+        # = (1 - z)(1 - z^3) it follows a stride that does divide m.
+        m = 1024
+        table = CorrectionFactorTable.build(Signature.parse(text), m, dtype)
+        assert 3 in table.running_sum_strides and m % 3
+        work = lane_inputs(dtype, (4, m), seed=m)
+        expected = work.copy()
+        natural_phase1(expected, table, 1)
+        phase1_inplace(work, table, 1)
+        assert_same_bits(work, expected)
+
+    @pytest.mark.parametrize("name", INTEGER_NAMES)
+    def test_phase1_matches_the_natural_composition(self, name):
+        m = 64 * 3
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), m, np.int32)
+        padded = wrapping_inputs(5 * m, seed=5)
+        expected = padded.reshape(5, m).copy()
+        natural_phase1(expected, table, 3)
+        got = phase1(padded, table, 3)
+        assert_same_bits(got, expected)
+        assert not np.shares_memory(got, padded)
+
+    @pytest.mark.parametrize("name", INTEGER_NAMES)
+    def test_process_backend_matches_the_serial_reference(self, name):
+        n = 64 * 9 + 5
+        values = wrapping_inputs(n, seed=9)
+        solver = PLRSolver(TABLE1[name], backend="process", workers=2)
+        plan = dataclasses.replace(
+            solver.plan_for(n), chunk_size=64, values_per_thread=1, num_chunks=-(-n // 64)
+        )
+        got = solver.solve(values, plan=plan)
+        np.testing.assert_array_equal(got, serial_full(values, TABLE1[name]))
+
     @pytest.mark.parametrize("lanes_per_chunk", [1, 2, 8, 16])
     @pytest.mark.parametrize("name", ["prefix_sum", "order3_prefix_sum", "high_pass_3"])
     def test_chunks_at_or_below_the_lane_width(self, name, lanes_per_chunk):
-        # m <= 8x puts every level (or none) in the lane-major layout.
+        # m <= 48 words, below lane_width(3) = 96, puts every level (or
+        # none) in the lane-major layout.
         x = 3
         m = lanes_per_chunk * x
         table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), m, np.float64)
@@ -334,6 +398,53 @@ class TestLaneMajorEquivalence:
         natural_phase1(expected, table, 9)
         phase1_inplace(work, table, 9, scratch=phase1_scratch(2 * table.chunk_size, np.float32))
         assert_same_bits(work, expected)
+
+
+class TestLaneWidth:
+    @pytest.mark.parametrize("x,w0", [(1, 64), (2, 64), (3, 96), (8, 64), (9, 72), (11, 88)])
+    def test_smallest_x_times_a_power_of_two_from_64_words(self, x, w0):
+        assert lane_width(x, 1024 * x) == w0
+
+    @pytest.mark.parametrize("x,m", [(1, 32), (3, 48), (11, 11)])
+    def test_capped_at_the_chunk_size(self, x, m):
+        assert lane_width(x, m) == m
+
+
+class TestRunningSumStrides:
+    STRIDES = {
+        "prefix_sum": (1,),
+        "tuple2_prefix_sum": (2,),
+        "tuple3_prefix_sum": (3,),
+        "order2_prefix_sum": (1, 1),
+        "order3_prefix_sum": (1, 1, 1),
+    }
+
+    @pytest.mark.parametrize("name", INTEGER_NAMES)
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_table1_integer_families(self, name, dtype):
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), 64, dtype)
+        assert table.running_sum_strides == self.STRIDES[name]
+
+    @pytest.mark.parametrize(
+        "text,strides",
+        [
+            ("(1: 1, 1)", None),
+            ("(1: 2)", None),
+            ("(1: -1)", None),
+            ("(1: 1, 1, -1)", (1, 2)),
+            ("(1: 1, 0, 1, -1)", (1, 3)),
+            ("(1: 2.0, -1.0)", (1, 1)),
+        ],
+    )
+    def test_other_integer_signatures(self, text, strides):
+        table = CorrectionFactorTable.build(Signature.parse(text), 64, np.int64)
+        assert table.running_sum_strides == strides
+
+    @pytest.mark.parametrize("name", list(TABLE1))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_tables_have_none(self, name, dtype):
+        table = CorrectionFactorTable.build(TABLE1[name].recursive_part(), 64, dtype)
+        assert table.running_sum_strides is None
 
 
 class TestPrunedFactorRows:
@@ -382,3 +493,11 @@ class TestLaneMajorTraceContract:
             for w in doubling_widths(x, m)
         ]
         assert spans == expected
+
+    @pytest.mark.parametrize("x", [1, 9])
+    def test_running_sum_tables_emit_one_span_per_stride(self, x):
+        table = CorrectionFactorTable.build(TABLE1["order3_prefix_sum"].recursive_part(), 64 * x, np.int64)
+        tracer = Tracer()
+        phase1_inplace(lane_inputs(np.int64, (3, table.chunk_size), seed=x), table, x, tracer=tracer)
+        spans = [(e.name, e.args) for e in tracer.events if e.ph == "X"]
+        assert spans == [("running_sum", {"stride": 1})] * 3

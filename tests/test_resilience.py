@@ -5,6 +5,7 @@ corruption)."""
 import numpy as np
 import pytest
 
+from repro.codegen.jit import native_available
 from repro.core.errors import (
     BackendError,
     DeadlockError,
@@ -419,6 +420,61 @@ class TestResilientSolver:
         np.testing.assert_array_equal(
             report.output, serial_full(x, Signature.parse("(1: 1)"))
         )
+
+    @pytest.mark.parametrize("backend", ["native", "auto"])
+    def test_every_solve_tries_the_accelerator_again(self, backend, monkeypatch):
+        """The fallback to numpy lasts one solve: a kernel that always
+        fails costs every solve its own ``backend`` attempt."""
+        from repro.codegen import jit
+
+        fetches = []
+
+        def broken(ir, workdir=None):
+            fetches.append(ir)
+            raise BackendError("compiler crashed")
+
+        monkeypatch.setattr(jit, "native_available", lambda: True)
+        monkeypatch.setattr(jit, "native_kernel", broken)
+        x = np.arange(1 << 15, dtype=np.int32) % 7
+        solver = ResilientSolver("(1: 1)", backend=backend)
+        for solves in range(1, 4):
+            report = solver.solve_with_report(x)
+            assert report.ok
+            assert [a.outcome for a in report.attempts] == ["backend", "ok"]
+            assert report.degradations == [
+                "native backend failed: numpy single-process fallback"
+            ]
+            assert len(fetches) == solves
+        assert solver.backend == backend
+
+    @pytest.mark.native
+    @pytest.mark.skipif(not native_available(), reason="no C compiler on this machine")
+    def test_kernel_that_fails_once_runs_native_on_the_next_solve(self, monkeypatch):
+        from repro.codegen import jit
+
+        real = jit.native_kernel
+        fetches = []
+
+        def fails_once(ir, workdir=None):
+            fetches.append(ir)
+            if len(fetches) == 1:
+                raise BackendError("compiler crashed")
+            return real(ir, workdir)
+
+        monkeypatch.setattr(jit, "native_kernel", fails_once)
+        x = np.arange(4096, dtype=np.int32) % 7
+        solver = ResilientSolver("(1: 1)", backend="native", tracer=True)
+        first = solver.solve_with_report(x)
+        assert [a.outcome for a in first.attempts] == ["backend", "ok"]
+        assert not [e for e in solver.tracer.events if e.name == "native_kernel"]
+        second = solver.solve_with_report(x)
+        assert [a.outcome for a in second.attempts] == ["ok"]
+        assert second.degradations == []
+        assert len(fetches) == 2
+        assert [e for e in solver.tracer.events if e.name == "native_kernel"]
+        expected = serial_full(x, Signature.parse("(1: 1)"))
+        np.testing.assert_array_equal(first.output, expected)
+        np.testing.assert_array_equal(second.output, expected)
 
 
 class TestFactorCache:

@@ -138,18 +138,28 @@ class TestTileBoundaryEquivalence:
 
 
 class TestTiledTraceContract:
-    def _trace_solve(self, num_chunks: int, monkeypatch) -> Tracer:
+    def _trace_solve(self, num_chunks: int, monkeypatch, dtype=np.int64) -> Tracer:
         monkeypatch.setattr(tiled, "TILE_BYTES", 1)
         n = CHUNK * num_chunks
         solver = PLRSolver("(1: 1)", tracer=True)
-        out = solver.solve(np.ones(n, dtype=np.int64), plan=tile_plan(solver.recurrence.signature, n))
+        out = solver.solve(np.ones(n, dtype=dtype), plan=tile_plan(solver.recurrence.signature, n))
         np.testing.assert_array_equal(out, np.arange(1, n + 1))
         return solver.tracer
 
     def test_multi_tile_solve_keeps_span_names(self, monkeypatch):
         tracer = self._trace_solve(10, monkeypatch)
         names = {e.name for e in tracer.events}
+        # An integer prefix sum's Phase 1 is one running sum per tile.
+        assert {"factor_table", "map_stage", "phase1", "phase2", "running_sum"} <= names
+        assert "merge_level" not in names
+        sums = [e for e in tracer.events if e.name == "running_sum"]
+        assert len(sums) == 10 and all(e.args == {"stride": 1} for e in sums)
+
+    def test_multi_tile_float_solve_keeps_merge_spans(self, monkeypatch):
+        tracer = self._trace_solve(10, monkeypatch, dtype=np.float64)
+        names = {e.name for e in tracer.events}
         assert {"factor_table", "map_stage", "phase1", "phase2", "merge_level"} <= names
+        assert "running_sum" not in names
 
     def test_lookbacks_are_per_solve_not_per_tile(self, monkeypatch):
         tracer = self._trace_solve(10, monkeypatch)
