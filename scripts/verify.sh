@@ -12,11 +12,14 @@
 #      native-marked tests skip themselves when no C compiler exists).
 #   2. serve self-test — a live ephemeral server, one pass over the
 #      reply contract (7 checks); repeated with --backend native when
-#      a C compiler is available, and with --backend auto.  Two
-#      `plr run` solves check Phase 1's integer running sums end to end
-#      against the serial reference (exit 1 on a mismatch): stride 3,
-#      which does not divide the chunk size, and three sums in a row.
-#      With a compiler, two more check the native dispatch the same way.
+#      a C compiler is available, and with --backend auto.  Four
+#      `plr run` solves check Phase 1 end to end against the serial
+#      reference (exit 1 on a mismatch): two integer running sums
+#      (stride 3, which does not divide the chunk size, and three sums
+#      in a row) and two float filters, whose segment products and
+#      carry scan run at m = 2048 and at m = 9216 (144 segments per
+#      chunk).  With a compiler, two more check the native dispatch the
+#      same way.
 #   3. bench gate      — re-runs the committed BENCH_parallel.json
 #      benchmark and fails on a >25% per-row slowdown.
 #
@@ -39,9 +42,11 @@ python -m pytest -x -q
 
 echo "== stage 2/3: serve self-test =="
 python -m repro.cli serve --self-test
-echo "== stage 2/3: integer running-sum solves against the serial reference =="
+echo "== stage 2/3: single-backend Phase 1 solves against the serial reference =="
 python -m repro.cli run "(1: 0, 0, 1)" -n 70001
 python -m repro.cli run "(1: 3, -3, 1)" -n 70001
+python -m repro.cli run "(0.04: 1.6, -0.64)" -n 70001
+python -m repro.cli run "(0.81, -1.62, 0.81: 1.6, -0.64)" -n 500000
 if command -v cc >/dev/null 2>&1 || command -v gcc >/dev/null 2>&1; then
     echo "== stage 2/3: serve self-test (native backend) =="
     python -m repro.cli serve --self-test --backend native

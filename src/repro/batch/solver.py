@@ -15,7 +15,7 @@ shapes:
   bit, floats included.  Python touches each row a few times (to place
   it, fill it and slice its output), each step a numpy call on the
   whole row;
-* a (B, n) array, with no per-row Python at all.  Phase 1 merges all
+* a (B, n) array, with no per-row Python at all.  Phase 1 solves all
   (row, chunk) pairs at once and Phase 2's carry spine advances every
   row per chunk step.  Row i equals ``PLRSolver.solve(batch[i])`` under
   the same plan exactly for integer dtypes (wrap-around arithmetic is

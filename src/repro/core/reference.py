@@ -73,9 +73,19 @@ def fir_map(values: np.ndarray, feedforward: Sequence[float]) -> np.ndarray:
 
 def _scaled(values: np.ndarray, coeff: float) -> np.ndarray:
     """values * coeff without promoting integer arrays to float."""
-    if np.issubdtype(values.dtype, np.integer):
-        return values * np.asarray(coeff, dtype=values.dtype)
-    return values * values.dtype.type(coeff)
+    return values * _coefficient(coeff, values.dtype)
+
+
+def _coefficient(coeff, dtype: np.dtype):
+    """``coeff`` in the arithmetic of ``dtype``.
+
+    An integer is cast as C casts it, wrapping into the dtype's range:
+    unsigned arithmetic multiplies by 2^32 - 1 where a uint32 signature
+    says -1.
+    """
+    if np.issubdtype(dtype, np.integer):
+        return np.array(int(coeff)).astype(dtype)
+    return dtype.type(coeff)
 
 
 def serial_recurrence(values: np.ndarray, feedback: Sequence[float]) -> np.ndarray:
@@ -91,10 +101,7 @@ def serial_recurrence(values: np.ndarray, feedback: Sequence[float]) -> np.ndarr
     out = np.array(values, copy=True)
     if n == 0 or k == 0:
         return out
-    if np.issubdtype(out.dtype, np.integer):
-        coeffs = [np.asarray(b, dtype=out.dtype) for b in feedback]
-    else:
-        coeffs = [out.dtype.type(b) for b in feedback]
+    coeffs = [_coefficient(b, out.dtype) for b in feedback]
     # Integer signatures deliberately wrap around like the 32-bit CUDA
     # arithmetic they model; suppress numpy's scalar-overflow warning.
     with np.errstate(over="ignore"):

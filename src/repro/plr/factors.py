@@ -30,13 +30,35 @@ from repro.core.signature import Signature
 from repro.core.ztransform import poles
 from repro.obs.metrics import global_metrics
 
-__all__ = ["CorrectionFactorTable", "FLOAT32_SMALLEST_NORMAL"]
+__all__ = ["CorrectionFactorTable", "FLOAT32_SMALLEST_NORMAL", "working_coefficients"]
 
 FLOAT32_SMALLEST_NORMAL = float(np.finfo(np.float32).tiny)
 """Magnitudes below this are denormal in float32 and get flushed to 0.
 
 The paper: "To speed up this effect, we flush denormal values to zero."
 """
+
+
+def working_coefficients(coefficients, dtype) -> list:
+    """Each coefficient as a scalar of the working dtype.
+
+    An integer dtype takes every coefficient modulo 2^bits into its
+    range, the ring its arithmetic wraps in, as
+    :meth:`CorrectionFactorTable.build` does with the factors: a uint32
+    solve multiplies by 2^32 - 1 where the signature says -1.  A float
+    dtype rounds each coefficient to its precision.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "iu":
+        return [dtype.type(float(c)) for c in coefficients]
+    return [dtype.type(c) for c in _in_ring(coefficients, dtype)]
+
+
+def _in_ring(values, dtype: np.dtype) -> list[int]:
+    """Integer ``values`` reduced modulo 2^bits into ``dtype``'s range."""
+    size = 1 << (8 * dtype.itemsize)
+    low = -(size >> 1) if dtype.kind == "i" else 0
+    return [(int(v) - low) % size + low for v in values]
 
 
 @dataclass(frozen=True)
@@ -66,6 +88,10 @@ class CorrectionFactorTable:
     they model."""
     _width_rows: dict = field(default_factory=dict, repr=False, compare=False)
     """Memoized per-width factor prefixes; see :meth:`rows_for_width`."""
+    _toeplitz: dict = field(default_factory=dict, repr=False, compare=False)
+    """Memoized per-width segment matrices; see :meth:`toeplitz`."""
+    _transitions: dict = field(default_factory=dict, repr=False, compare=False)
+    """Memoized per-width carry transitions; see :meth:`carry_transitions`."""
     _factor_plans: dict = field(default_factory=dict, repr=False, compare=False)
     """Memoized optimizer output per configuration; see
     :func:`repro.plr.optimizer.optimize_factors`."""
@@ -96,13 +122,8 @@ class CorrectionFactorTable:
         radius: float | None = None
         overflow = False
         if np.issubdtype(dtype, np.integer):
-            info = np.iinfo(dtype)
-            width = int(info.max) - int(info.min) + 1
             for j in range(k):
-                exact = correction_factors(recursive, j, chunk_size)
-                table[j, :] = [
-                    ((int(v) - int(info.min)) % width) + int(info.min) for v in exact
-                ]
+                table[j, :] = _in_ring(correction_factors(recursive, j, chunk_size), dtype)
         else:
             # Generate in float64 then cast, so that decay behaviour is
             # governed by the target precision, not by python floats.
@@ -173,6 +194,55 @@ class CorrectionFactorTable:
             )
             self._width_rows[width] = rows
         return rows
+
+    def toeplitz(self, width: int) -> np.ndarray:
+        """The width-by-width upper-triangular Toeplitz matrix U with
+        ``U[j, i] = h[i - j]`` for ``j <= i``, built lazily per width.
+
+        h is the recursion's impulse response: ``h[0] = 1`` and
+        ``h[t] = factors[0, t - 1]``, since row 0 is the effect of the
+        word just before a chunk.  A row of ``width`` words times U is
+        therefore the recurrence solved over them from a zero history:
+        every merge level below ``width`` in one product
+        (:func:`repro.plr.phase1.segment_solve`).
+        """
+        matrix = self._toeplitz.get(width)
+        if matrix is None:
+            response = np.concatenate(
+                [np.ones(1, dtype=self.dtype), self.factors[0, : width - 1]]
+            )
+            offsets = np.arange(width)
+            lag = offsets[None, :] - offsets[:, None]
+            matrix = np.where(lag >= 0, response[np.maximum(lag, 0)], 0).astype(
+                self.dtype
+            )
+            matrix.setflags(write=False)
+            self._toeplitz[width] = matrix
+        return matrix
+
+    def carry_transitions(self, width: int) -> tuple[np.ndarray, ...]:
+        """The k-by-k carry transitions over d·width words, for d = 1, 2,
+        4, ... while d·width < m, built lazily per width.
+
+        The transition over n words maps the carries entering them to
+        their contribution to the carries leaving them:
+        ``M[r, j] = factors[j, n - 1 - r]``, the identity
+        :func:`repro.plr.phase2.transition_matrix` reads at n = m.  The
+        doubling scan over a chunk's segments takes one step per matrix
+        (:func:`repro.plr.phase1.segment_carries`).
+        """
+        matrices = self._transitions.get(width)
+        if matrices is None:
+            recent_first = np.arange(self.order)
+            matrices = []
+            words = width
+            while words < self.chunk_size:
+                matrix = self.factors[:, words - 1 - recent_first].T.copy()
+                matrix.setflags(write=False)
+                matrices.append(matrix)
+                words *= 2
+            matrices = self._transitions[width] = tuple(matrices)
+        return matrices
 
     @cached_property
     def row_extents(self) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ filtering matters.  This module provides that on top of the 1D
 machinery:
 
 * :func:`solve_batch` — many independent sequences at once.  The
-  algorithm is unchanged; the win is that Phase 1's merges and Phase
-  2's carry spine vectorize across the batch (the per-chunk-index loop
+  algorithm is unchanged; the win is that Phase 1 and Phase 2's
+  carry spine vectorize across the batch (the per-chunk-index loop
   advances *every* row simultaneously), so filtering a 4096-row image
   costs barely more Python overhead than one row.  Rows of different
   lengths are packed into one grid of chunks whose carry spine
@@ -56,8 +56,8 @@ def solve_batch(
     the vectorized core the batched execution engine
     (:mod:`repro.batch`) builds on, and the same tiled pass
     (:func:`~repro.plr.tiled.solve_tiled`) :class:`~repro.plr.PLRSolver`
-    runs as a batch of one: short rows share a tile, so Phase 1 merges
-    and the carry spine advance all of them at once.
+    runs as a batch of one: short rows share a tile, so Phase 1 and the
+    carry spine advance all of them at once.
 
     ``plan`` overrides the paper's planner (the batch engine passes the
     plan it grouped requests under); ``tracer`` threads an optional

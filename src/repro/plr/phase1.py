@@ -2,7 +2,8 @@
 
 Phase 1 turns each size-m chunk of the input into the locally correct
 recurrence result (correct under the assumption that everything before
-the chunk is zero).  It mirrors the generated CUDA code's structure:
+the chunk is zero).  The generated CUDA code does this in two steps,
+and so does this module for a general integer table:
 
 1. *Thread-local step* — each thread solves its x consecutive values
    serially (a chunk of size x is trivially correct on its own).  On
@@ -21,21 +22,30 @@ chunks of width w, the first w outputs of every chunk-aligned window
 are final, and in particular the first w outputs of the whole sequence
 equal the serial reference.
 
-Integer prefix families — prefix, tuple and higher-order prefix sums,
-whose recursion factors as a product of ``(1 - z^s)`` — skip both steps
-on a CPU: each chunk gets one running sum per factor, which integer
-wraparound makes exactly equal to the merged result.  This is the
-paper's specialization by table structure (§3.1) applied to the whole
-chunk rather than to one factor row.
+Two table structures take other routes on a CPU, each the paper's
+specialization by table structure (§3.1) applied to the whole chunk:
+
+* Integer prefix families — prefix, tuple and higher-order prefix sums,
+  whose recursion factors as a product of ``(1 - z^s)`` — get one
+  running sum per factor, which integer wraparound makes exactly equal
+  to the merged result.
+* Float tables get every merge level below a W-word segment in one
+  matrix product with the n-nacci Toeplitz matrix, and the levels
+  above it as an affine scan over the segments' carries
+  (:func:`segment_solve`).  The factors are the same, but the sums are
+  associated differently, so float results differ from the merge tree
+  within rounding (Section 5's tolerance), not bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.core.errors import NumericalError
 from repro.obs.tracer import NULL_TRACER
-from repro.plr.factors import CorrectionFactorTable
+from repro.plr.factors import CorrectionFactorTable, working_coefficients
 from repro.plr.phase2 import TILE_BYTES
 
 __all__ = [
@@ -45,6 +55,9 @@ __all__ = [
     "phase1_inplace",
     "phase1_scratch",
     "running_sum",
+    "segment_solve",
+    "segment_carries",
+    "segment_width",
     "lane_width",
     "doubling_widths",
     "check_integer_coefficients",
@@ -95,10 +108,7 @@ def thread_local_solve(
     elements.
     """
     k = len(feedback)
-    if np.issubdtype(chunks.dtype, np.integer):
-        coeffs = [np.asarray(b, dtype=chunks.dtype) for b in feedback]
-    else:
-        coeffs = [chunks.dtype.type(b) for b in feedback]
+    coeffs = working_coefficients(feedback, chunks.dtype)
     column_shape = chunks.shape[:1] + chunks.shape[2:]
     if scratch is None:
         column_scratch = np.empty(column_shape, dtype=chunks.dtype)
@@ -201,8 +211,10 @@ def lane_width(x: int, chunk_size: int) -> int:
 def phase1_scratch(words: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The two flat buffers :func:`phase1_inplace` works in.
 
-    The first holds the lane-major copy of a block and, once that is
-    copied back, the wide levels' products; the second holds the
+    For a float table the first holds a block's segment products and
+    the second its carry corrections (:func:`segment_solve`); for the
+    merge tree the first holds the lane-major copy of a block and, once
+    that is copied back, the wide levels' products, and the second the
     narrow levels' products.  ``words`` (a whole number of chunks)
     bounds the block size.  Between Phase 1 calls the first buffer is
     free, so the tiled pass also forms its fill and correction products
@@ -230,34 +242,42 @@ def phase1_inplace(
     size; it is overwritten with the locally correct partial result.
 
     The matrix is processed in blocks of whole chunks of at most
-    :data:`~repro.plr.phase2.TILE_BYTES`, so every level of a block
-    runs in cache.  An integer table whose recursion is a product of
-    running sums (its
-    :attr:`~repro.plr.factors.CorrectionFactorTable.running_sum_strides`)
-    takes no merges at all: each block gets one in-place
-    :func:`running_sum` per stride, which wraps in the integer ring
-    exactly as the merges would, and x plays no part.  Every other
-    table runs the merge tree.  Within a block, the levels narrower
-    than W0 (:func:`lane_width`) — the thread-local step and the first
-    merges, whose rows are a few words long — run on a transposed copy
-    in which word i of every W0-word segment lies on one contiguous
-    lane, so each broadcast walks long vectors instead of thousands of
-    short runs.  The block is then copied back for the levels from W0
-    to m/2.  Both layouts apply the same factors in the same order, so
-    the result equals the natural-layout composition bit for bit,
-    except where the merges skip factors that
-    :meth:`~repro.plr.factors.CorrectionFactorTable.rows_for_width`
-    proves are exactly zero: there the sign of a zero can differ, and a
-    non-finite carry no longer turns ``0 * inf`` into NaN (the batch
-    engine and ``ResilientSolver`` route non-finite inputs to the
-    serial path).
+    :data:`~repro.plr.phase2.TILE_BYTES`, so every step of a block runs
+    in cache.  Each table takes one of three routes, and x plays a part
+    in the merge tree only:
+
+    * An integer table whose recursion is a product of running sums
+      (its
+      :attr:`~repro.plr.factors.CorrectionFactorTable.running_sum_strides`)
+      gets one in-place :func:`running_sum` per stride, which wraps in
+      the integer ring exactly as the merges would.
+    * A float table runs :func:`segment_solve`: per chunk, one matrix
+      product solves every :func:`segment_width`-word segment and an
+      affine scan joins them.  Every product has a per-chunk shape
+      fixed by the table and the scan is elementwise, so a chunk's
+      result does not depend on how many chunks share the call.  A
+      chunk holding a non-finite word (or overflowing) is left to the
+      merge tree instead, which keeps the word from reaching the words
+      before it.
+    * Every other (integer) table runs the merge tree.  Within a block,
+      the levels narrower than W0 (:func:`lane_width`) — the
+      thread-local step and the first merges, whose rows are a few
+      words long — run on a transposed copy in which word i of every
+      W0-word segment lies on one contiguous lane, so each broadcast
+      walks long vectors instead of thousands of short runs.  The block
+      is then copied back for the levels from W0 to m/2.  Both layouts
+      apply the same factors in the same order, and integer addition
+      wraps exactly, so the result equals the natural-layout
+      composition bit for bit.
 
     ``scratch`` is a :func:`phase1_scratch` pair the caller reuses;
-    its size sets the block.  Without it, the merge tree allocates one
-    pair per call.  With an enabled ``tracer``, each block emits one
-    ``running_sum`` span per stride, or one ``thread_local_solve`` span
-    (for x > 1) and one ``merge_level`` span per width (cat ``phase1``)
-    recording the width and how many pairs merged.
+    its size sets the block.  Without it, the float and merge-tree
+    routes allocate one pair per call.  With an enabled ``tracer``,
+    each block emits one ``running_sum`` span per stride, one
+    ``segment_solve`` span (args: the segment width and how many
+    segments the block holds), or one ``thread_local_solve`` span (for
+    x > 1) and one ``merge_level`` span per width recording the width
+    and how many pairs merged; all have cat ``phase1``.
     """
     m = table.chunk_size
     if work.ndim != 2 or work.shape[1] != m:
@@ -278,18 +298,33 @@ def phase1_inplace(
     feedback = [
         b if isinstance(b, int) else float(b) for b in table.signature.feedback
     ]
+    floating = not np.issubdtype(work.dtype, np.integer)
+    width = segment_width(m, table.order)
     for start in range(0, num_chunks, block):
         chunks = work[start : start + block]
-        if strides is None:
-            _phase1_block(chunks, table, x, feedback, widths, tracer, scratch)
-            continue
-        for stride in strides:
+        if floating:
             with tracer.span(
-                "running_sum",
+                "segment_solve",
                 cat="phase1",
-                args={"stride": stride} if tracer.enabled else None,
+                args={"width": width, "segments": chunks.size // width}
+                if tracer.enabled
+                else None,
             ):
-                running_sum(chunks, stride)
+                unsolved = segment_solve(chunks, table, width, scratch)
+            if unsolved is not None:
+                rows = chunks[unsolved]
+                _phase1_block(rows, table, x, feedback, widths, tracer, scratch)
+                chunks[unsolved] = rows
+        elif strides is None:
+            _phase1_block(chunks, table, x, feedback, widths, tracer, scratch)
+        else:
+            for stride in strides:
+                with tracer.span(
+                    "running_sum",
+                    cat="phase1",
+                    args={"stride": stride} if tracer.enabled else None,
+                ):
+                    running_sum(chunks, stride)
 
 
 def running_sum(work: np.ndarray, stride: int) -> None:
@@ -308,6 +343,116 @@ def running_sum(work: np.ndarray, stride: int) -> None:
         views = [work[:, r::stride] for r in range(stride)]
     for view in views:
         np.add.accumulate(view, axis=1, out=view)
+
+
+SEGMENT_WORDS = 64
+"""The segment width :func:`segment_solve` aims for, in words; see
+:func:`segment_width`."""
+
+
+def segment_width(chunk_size: int, order: int) -> int:
+    """W: the width of the segments :func:`segment_solve` cuts a chunk
+    into, ``gcd(m, 64)``, or the whole chunk when that is below the
+    order k (a segment must hold its k carries).
+
+    Every plan's chunk size is 1024 * x, so W is 64 words.  A wider
+    segment moves more of the work into the Toeplitz product, whose
+    cost grows with W per word, and a narrower one moves it into the
+    carry scan and the corrections.
+    """
+    width = math.gcd(chunk_size, SEGMENT_WORDS)
+    return width if width >= order else chunk_size
+
+
+def segment_solve(
+    work: np.ndarray,
+    table: CorrectionFactorTable,
+    width: int,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray | None:
+    """Phase 1 of a float ``(C, m)`` chunk matrix as matrix products, in place.
+
+    Each chunk is cut into S = m / ``width`` segments of W words:
+
+    1. Every segment is solved from a zero history in one stacked
+       product of the ``(C, S, W)`` view with the table's
+       :meth:`~repro.plr.factors.CorrectionFactorTable.toeplitz` matrix
+       U, ``U[j, i] = h[i - j]`` for the impulse response h: the merge
+       levels below W, at once.
+    2. The segments' carries are joined within each chunk,
+       ``G_s = L_s + M G_{s-1}`` with ``G_0 = L_0``, by
+       :func:`segment_carries`.
+    3. Every segment s >= 1 gains ``G_{s-1} @ factors[:, :W]``, a second
+       stacked product — Phase 2's correction, inside the chunk.
+
+    Each product runs per chunk with a shape the table fixes, so a
+    chunk's bits do not depend on how many chunks share the call.
+    ``scratch`` is a :func:`phase1_scratch` pair of at least
+    ``work.size`` words each; without it one is allocated.
+
+    Returns None when every chunk is solved, else the indices of the
+    chunks left unsolved, their input intact: those whose carries are
+    not finite.  A non-finite word reaches its
+    segment's last word (U's last column multiplies every word, and
+    ``0 * inf`` is NaN), so it always shows there; but the zeros below
+    U's diagonal also carry it to the words *before* it in its segment,
+    which the merge tree (:func:`phase1_inplace`) does not do.
+    """
+    num_chunks, m = work.shape
+    segments = m // width
+    source = work.reshape(num_chunks, segments, width)
+    if scratch is None:
+        scratch = phase1_scratch(work.size, work.dtype)
+    solved = scratch[0][: work.size].reshape(source.shape)
+    np.matmul(source, table.toeplitz(width), out=solved)
+    carries = segment_carries(solved, table)
+    # The scan carries any non-finite carry of a chunk into its last one.
+    finite = np.isfinite(carries[:, -1])
+    unsolved = None if finite.all() else np.flatnonzero(~finite.all(axis=0))
+    inputs = None if unsolved is None else work[unsolved]
+    # prev[c, s] = G_s of chunk c, for the segments s + 1 it corrects.
+    prev = carries[:, :-1].transpose(2, 1, 0)
+    corrections = scratch[1][: num_chunks * (segments - 1) * width]
+    corrections = corrections.reshape(num_chunks, segments - 1, width)
+    if table.order == 1:
+        np.multiply(prev, table.factors[0, :width], out=corrections)
+    else:
+        np.matmul(np.ascontiguousarray(prev), table.factors[:, :width], out=corrections)
+    np.copyto(source[:, 0], solved[:, 0])
+    np.add(solved[:, 1:], corrections, out=source[:, 1:])
+    if unsolved is not None:
+        work[unsolved] = inputs
+    return unsolved
+
+
+def segment_carries(solved: np.ndarray, table: CorrectionFactorTable) -> np.ndarray:
+    """The in-chunk global carries of every segment, as a (k, S, C) array.
+
+    ``solved`` is the ``(C, S, W)`` result of solving each segment from
+    a zero history; its last k words per segment, most recent first,
+    are the local carries ``L_s``, and ``carries[r, s, c]`` is the
+    global carry at offset W-1-r of segment s in chunk c.
+    ``G_s = L_s + M G_{s-1}`` runs as a log-depth doubling scan: the
+    step of distance d adds ``M_{dW} G_{s-d}`` to every segment
+    s >= d, where ``M_{dW}``, the carry transition over d·W words,
+    comes straight from the table
+    (:meth:`~repro.plr.factors.CorrectionFactorTable.carry_transitions`).
+    The chunks lie on the contiguous last axis and every step is an
+    elementwise broadcast, so each chunk's carries depend on that chunk
+    alone.
+    """
+    width = solved.shape[2]
+    k = table.order
+    carries = solved[:, :, width - k :][:, :, ::-1].transpose(2, 1, 0).copy()
+    distance = 1
+    for matrix in table.carry_transitions(width):
+        earlier = carries[:, :-distance]
+        step = matrix[:, 0, None, None] * earlier[0]
+        for j in range(1, k):
+            step += matrix[:, j, None, None] * earlier[j]
+        carries[:, distance:] += step
+        distance *= 2
+    return carries
 
 
 def _phase1_block(work, table, x, feedback, widths, tracer, scratch) -> None:
@@ -366,11 +511,13 @@ def phase1(
     axis — the per-chunk arithmetic is bit-identical to B separate 1D
     calls, with the Python-level dispatch paid once.
 
-    With an enabled ``tracer``, the thread-local solve and every
-    merge-doubling level emit one span each (cat ``phase1``), recording
-    the pair width and how many pairs merged — the numpy mirror of the
-    simulator's per-block ``merge`` events.  A running-sum table emits
-    one ``running_sum`` span per stride instead.
+    With an enabled ``tracer``, a merging table's thread-local solve
+    and every merge-doubling level emit one span each (cat ``phase1``),
+    recording the pair width and how many pairs merged — the numpy
+    mirror of the simulator's per-block ``merge`` events.  A
+    running-sum table emits one ``running_sum`` span per stride
+    instead, and a float table one ``segment_solve`` span per block
+    (see :func:`phase1_inplace`).
     """
     m = table.chunk_size
     if padded.ndim not in (1, 2):

@@ -1,11 +1,16 @@
 """The end-to-end PLR solver: plan, map stage, Phase 1, Phase 2.
 
 :class:`PLRSolver` is the executable embodiment of the paper's
-algorithm on a numpy substrate.  It computes *exactly* what the
-generated CUDA code computes — same chunking, same correction factors,
-same arithmetic order — so it serves both as the production API for
-computing recurrences in parallel form and as the reference for
-validating the code generators and the GPU simulator against.
+algorithm on a numpy substrate: the same chunking, the same correction
+factors and the same two phases as the generated CUDA code, so it
+serves both as the production API for computing recurrences in
+parallel form and as the reference for validating the code generators
+and the GPU simulator against.  Integer results are exactly the
+generated code's: its arithmetic wraps in the same ring.  Float results
+agree within Section 5's tolerance, not bit for bit: a CPU Phase 1
+solves each 64-word segment of a chunk in one matrix product and joins
+the segments with a carry scan (:func:`repro.plr.phase1.segment_solve`),
+which associates the sums differently from the merge tree.
 
 Every CPU entry point — :class:`PLRSolver`,
 :class:`~repro.batch.BatchSolver`, :func:`~repro.plr.nd.solve_batch`
@@ -493,19 +498,22 @@ class PLRSolver:
         Which Section 3.1 optimizations the generated code and the cost
         model apply; the resulting plan lands on
         ``artifacts.factor_plan``.  Defaults to all-on, like PLR.  The
-        numpy execution does not read it: its merges and corrections
-        prune by the factor table's own structure instead — each row
-        stops at its exact-zero tail (decay truncation) and all-ones
-        rows add their carry without a multiply (constant folding) —
-        which never changes a finite result beyond the sign of an exact
-        zero.
+        numpy execution does not read it: its integer merges and its
+        corrections prune by the factor table's own structure instead —
+        each row stops at its exact-zero tail (decay truncation) and
+        all-ones rows add their carry without a multiply (constant
+        folding) — which never changes a finite result beyond the sign
+        of an exact zero.  Float Phase 1 runs as matrix products
+        (:func:`repro.plr.phase1.segment_solve`), whose sums associate
+        differently from the generated code's merges; a row's bits do
+        not depend on which rows share its batch or its tiles.
     tracer:
         Observability hook: ``True`` for a fresh
         :class:`~repro.obs.tracer.Tracer`, an existing tracer to share,
         or ``None``/``False`` (default) for the no-op tracer.  With a
         real tracer every solve emits spans for the map stage, factor
-        table lookup, Phase 1 (per merge level), and Phase 2 (per-chunk
-        ``lookback`` events).  Tracing never changes the arithmetic —
+        table lookup, Phase 1 (per segment solve, running sum or merge
+        level), and Phase 2 (per-chunk ``lookback`` events).  Tracing never changes the arithmetic —
         outputs are bit-identical with it on or off.
     backend:
         ``"single"`` (default) computes in this process;

@@ -359,7 +359,7 @@ def _fold_carries(
     ``carries`` the (..., k) outputs preceding it, most recent first.
     Carry j touches only the first ``row_extents[j]`` words, where its
     factor row is not exactly zero, and an all-ones row adds the carry
-    without a multiply — the same cut rows Phase 1 merges with.  Zero
+    without a multiply — the same cut rows Phase 2 corrects with.  Zero
     carries (every stream's, in a batch) are skipped.
     """
     n = local.shape[-1]

@@ -20,8 +20,8 @@ A tile is either several whole rows, when one padded row fits the
 budget, or a run of chunks from one row; either way it is contiguous,
 so Phase 1's chunk-matrix reshape stays a view.  Every element sees the
 arithmetic of the whole-array phases — the map stage's summation order,
-the same merges, the same spine recursion — so integer results are
-bit-identical to them.
+the same Phase 1 per chunk, the same spine recursion — so integer
+results are bit-identical to them.
 
 Rows of different lengths run as one *packed* row instead
 (:func:`packed_starts`): each starts on a chunk boundary and is filled
@@ -40,7 +40,7 @@ from itertools import accumulate
 import numpy as np
 
 from repro.obs.tracer import NULL_TRACER
-from repro.plr.factors import CorrectionFactorTable
+from repro.plr.factors import CorrectionFactorTable, working_coefficients
 from repro.plr.phase1 import phase1_inplace, phase1_scratch
 from repro.plr.phase2 import (
     TILE_BYTES,
@@ -94,7 +94,7 @@ def solve_tiled(
     ``keep_partial`` is set, else None.
 
     With an enabled ``tracer`` every tile emits ``map_stage``, ``phase1``
-    (the merge levels inside) and ``phase2`` spans (``propagate_carries``
+    (its Phase 1 steps inside) and ``phase2`` spans (``propagate_carries``
     and ``apply_global_correction`` inside); the look-back events are
     emitted once per solve (:func:`~repro.plr.phase2.trace_lookbacks`).
     ``context`` parents the tile spans under a request-scoped trace.
@@ -118,7 +118,7 @@ def solve_tiled(
     out = np.empty((rows, chunks * m), dtype=table.dtype)
     partial = np.empty_like(out) if keep_partial else None
     matrix = transition_matrix(table)
-    ff = [a if isinstance(a, int) else float(a) for a in feedforward]
+    ff = working_coefficients(feedforward, table.dtype)
     if ff == [1]:
         ff = None
 

@@ -1,5 +1,7 @@
 """Edge cases across the stack: exotic signatures, extremes, dtypes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,42 @@ class TestDtypeMatrix:
             "(1: 1)", n=3000, backend="c", dtype=np.int64
         ).kernel
         np.testing.assert_array_equal(kernel(values), np.cumsum(values))
+
+
+def wrapped_uint32(values: np.ndarray, signature: Signature) -> np.ndarray:
+    """The uint32 result computed in int64 and reduced mod 2^32: unsigned
+    arithmetic wraps in the same ring, so it must agree word for word."""
+    exact = serial_full(values.astype(np.int64), signature, dtype=np.int64)
+    return (exact % 2**32).astype(np.uint32)
+
+
+class TestUnsignedWorkingDtype:
+    """Regression: a negative coefficient in an unsigned working dtype
+    raised a bare ``OverflowError`` in the thread-local step, the map
+    stage and the serial reference; each now casts it into the ring."""
+
+    def test_negative_feedback_in_the_thread_local_step(self):
+        # (1: 1, -1) is no running sum, so it merges; x = 3 runs the
+        # thread-local step, as the x = 11 plan of a 3M-word solve does.
+        signature = Signature.parse("(1: 1, -1)")
+        values = (np.arange(1000) % 7).astype(np.uint32)
+        solver = PLRSolver(signature)
+        plan = dataclasses.replace(
+            solver.plan_for(1000), chunk_size=192, values_per_thread=3, num_chunks=6
+        )
+        expected = wrapped_uint32(values, signature)
+        np.testing.assert_array_equal(solver.solve(values, plan=plan, dtype=np.uint32), expected)
+        np.testing.assert_array_equal(serial_full(values, signature, dtype=np.uint32), expected)
+
+    @pytest.mark.parametrize("backend", ["single", "process"])
+    def test_negative_map_coefficient(self, backend):
+        signature = Signature.parse("(1, -1: 1)")
+        values = (np.arange(3000) % 7).astype(np.uint32)
+        got = PLRSolver(signature, backend=backend).solve(values, dtype=np.uint32)
+        expected = wrapped_uint32(values, signature)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(serial_full(values, signature, dtype=np.uint32), expected)
 
 
 class TestFactorTableCaching:

@@ -344,7 +344,7 @@ class TestSolverIntegration:
         lookbacks = [e for e in tracer.events if e.name == "lookback"]
         assert lookbacks and all(e.args["distance"] == 1 for e in lookbacks)
 
-    def test_float_solver_emits_merge_level_spans(self):
+    def test_float_solver_emits_segment_solve_spans(self):
         tracer = Tracer()
         solver = PLRSolver("(1 : 1)", tracer=tracer)
         values = np.arange(5000, dtype=np.float64)
@@ -353,8 +353,21 @@ class TestSolverIntegration:
             out, serial_full(values, solver.recurrence.signature)
         )
         names = {e.name for e in tracer.events}
+        # A float Phase 1 is one segment solve (matrix products), no merges.
+        assert {"plan", "factor_table", "phase1", "phase2", "segment_solve"} <= names
+        assert not {"merge_level", "running_sum"} & names
+
+    def test_general_integer_solver_emits_merge_level_spans(self):
+        tracer = Tracer()
+        solver = PLRSolver("(1 : 1, 1)", tracer=tracer)
+        values = np.arange(5000, dtype=np.int64)
+        out = solver.solve(values)
+        np.testing.assert_array_equal(
+            out, serial_full(values, solver.recurrence.signature)
+        )
+        names = {e.name for e in tracer.events}
         assert {"plan", "factor_table", "phase1", "phase2", "merge_level"} <= names
-        assert "running_sum" not in names
+        assert not {"segment_solve", "running_sum"} & names
 
     def test_factor_cache_stats_mirror_lru(self):
         clear_factor_cache()

@@ -41,10 +41,9 @@ IMPRECISE = (
 def cases(*imprecise: str) -> list:
     """(name, dtype) for every Table-1 signature in each dtype it runs in.
 
-    The float32 cases named in ``imprecise`` are strict xfails: their
-    factor rows grow polynomially (order-2/3 prefix sums) or a long
-    stream accumulates rounding (high_pass_3), which is a precision
-    limit of the algorithm in float32, not of the tiling.
+    The float32 cases named in ``imprecise`` are strict xfails: the
+    factor rows of order-2/3 prefix sums grow polynomially, which is a
+    precision limit of the algorithm in float32, not of the tiling.
     """
     params = []
     for name, signature in TABLE1.items():
@@ -113,9 +112,7 @@ class TestTileBoundaryEquivalence:
                     values, signature, dtype,
                 )
 
-    @pytest.mark.parametrize(
-        "name,dtype", cases("order2_prefix_sum", "order3_prefix_sum", "high_pass_3")
-    )
+    @pytest.mark.parametrize("name,dtype", cases("order2_prefix_sum", "order3_prefix_sum"))
     def test_streaming_matches_serial(self, name, dtype, monkeypatch, rng):
         # The stream's inner solver plans its own (1024-word) chunks; a
         # one-byte budget still makes every chunk its own tile.
@@ -138,12 +135,16 @@ class TestTileBoundaryEquivalence:
 
 
 class TestTiledTraceContract:
-    def _trace_solve(self, num_chunks: int, monkeypatch, dtype=np.int64) -> Tracer:
+    def _trace_solve(
+        self, num_chunks: int, monkeypatch, dtype=np.int64, signature="(1: 1)"
+    ) -> Tracer:
         monkeypatch.setattr(tiled, "TILE_BYTES", 1)
         n = CHUNK * num_chunks
-        solver = PLRSolver("(1: 1)", tracer=True)
-        out = solver.solve(np.ones(n, dtype=dtype), plan=tile_plan(solver.recurrence.signature, n))
-        np.testing.assert_array_equal(out, np.arange(1, n + 1))
+        solver = PLRSolver(signature, tracer=True)
+        values = np.ones(n, dtype=dtype)
+        out = solver.solve(values, plan=tile_plan(solver.recurrence.signature, n))
+        expected = serial_full(values, solver.recurrence.signature, dtype=dtype)
+        np.testing.assert_array_equal(out, expected)
         return solver.tracer
 
     def test_multi_tile_solve_keeps_span_names(self, monkeypatch):
@@ -155,11 +156,21 @@ class TestTiledTraceContract:
         sums = [e for e in tracer.events if e.name == "running_sum"]
         assert len(sums) == 10 and all(e.args == {"stride": 1} for e in sums)
 
-    def test_multi_tile_float_solve_keeps_merge_spans(self, monkeypatch):
+    def test_multi_tile_float_solve_emits_segment_spans(self, monkeypatch):
         tracer = self._trace_solve(10, monkeypatch, dtype=np.float64)
         names = {e.name for e in tracer.events}
-        assert {"factor_table", "map_stage", "phase1", "phase2", "merge_level"} <= names
-        assert "running_sum" not in names
+        # A float table's Phase 1 is one segment solve per tile.
+        assert {"factor_table", "map_stage", "phase1", "phase2", "segment_solve"} <= names
+        assert not {"merge_level", "thread_local_solve", "running_sum"} & names
+        segments = [e for e in tracer.events if e.name == "segment_solve"]
+        assert len(segments) == 10
+        assert all(e.args == {"width": CHUNK, "segments": 1} for e in segments)
+
+    def test_multi_tile_general_integer_solve_keeps_merge_spans(self, monkeypatch):
+        tracer = self._trace_solve(10, monkeypatch, signature="(1: 1, 1)")
+        names = {e.name for e in tracer.events}
+        assert {"map_stage", "phase1", "phase2", "thread_local_solve", "merge_level"} <= names
+        assert not {"segment_solve", "running_sum"} & names
 
     def test_lookbacks_are_per_solve_not_per_tile(self, monkeypatch):
         tracer = self._trace_solve(10, monkeypatch)
