@@ -64,7 +64,7 @@ from repro.obs import (
     global_metrics,
     profile_simulation,
 )
-from repro.parallel import ShardOptions, solve_batch_sharded, solve_sharded
+from repro.parallel import ShardOptions, solve_sharded
 from repro.plr import (
     CorrectionFactorTable,
     ExecutionPlan,
@@ -144,7 +144,6 @@ __all__ = [
     "profile_simulation",
     "run_chaos",
     "serial_full",
-    "solve_batch_sharded",
     "solve_sharded",
     "table1_signatures",
 ]

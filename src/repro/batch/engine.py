@@ -92,18 +92,19 @@ class BatchEngine:
         :class:`~repro.batch.planner.BatchRequest` are absolute values
         of this clock.
     backend / workers / shard_options:
-        Execution backend, forwarded into the resilience chain for
-        *isolated* re-runs: ``"process"`` lets an isolated request use
-        the multicore sharded path (its worker lanes then appear in the
-        request's trace).  ``"native"`` additionally switches the
-        grouped pass itself to the JIT-compiled C kernels (per-row, one
-        compile per kernel shape) with automatic numpy fallback.
-        ``"auto"`` picks native or single for each grouped pass from
-        its longest row (:func:`~repro.plr.solver.resolve_backend`);
-        isolated re-runs then use the single-process chain.  The
-        process backend never applies to the grouped pass — batching
-        and sharding compose badly for small groups.  Any other name
-        raises ``ValueError`` here, before a queue runs.
+        Execution backend of the grouped passes
+        (:class:`~repro.batch.BatchSolver`), also forwarded into the
+        resilience chain for *isolated* re-runs.  ``"process"`` lets an
+        isolated request use the multicore sharded path (its worker
+        lanes then appear in the request's trace), sized by ``workers``
+        / ``shard_options``; its grouped passes run in this process,
+        since a batch never shards.  ``"native"`` switches the grouped
+        pass to the JIT-compiled C kernels (per-row, one compile per
+        kernel shape) with automatic numpy fallback.  ``"auto"`` picks
+        native or single for each grouped pass from its longest row
+        (:func:`~repro.plr.solver.resolve_backend`); isolated re-runs
+        then use the single-process chain.  Any other name raises
+        ``ValueError`` here, before a queue runs.
     """
 
     def __init__(
@@ -283,13 +284,7 @@ class BatchEngine:
                 group.signature,
                 machine=self.machine,
                 tracer=self.tracer,
-                # The grouped pass may run native kernels per row (or
-                # let the auto rule pick); the process backend stays
-                # isolation-only (batching and sharding compose badly
-                # for small groups).
-                backend=self.backend
-                if self.backend in ("native", "auto")
-                else "single",
+                backend=self.backend,
             )
             try:
                 plan = solver.plan_for(group.bucket)

@@ -22,6 +22,9 @@ shapes:
   chunking-invariant), and to within a few ulps for floats (the spine
   uses a matrix product where the single-request path uses a
   matrix-vector product).
+
+Both shapes run in this process on every backend but native; a batch
+never shards across processes.
 """
 
 from __future__ import annotations
@@ -55,10 +58,8 @@ class BatchSolver:
         Observability hook (``True`` / a shared tracer / ``None``).
     backend:
         ``"single"`` (default) vectorizes in this process;
-        ``"process"`` shards the batch axis of a (B, n) array across a
-        multicore pool — rows are independent, so workers need no carry
-        exchange at all (see :func:`repro.parallel.solve_batch_sharded`);
-        ragged rows take the packed single pass instead;
+        ``"process"`` runs the same in-process pass, since only a 1-D
+        solve shards (:class:`~repro.plr.solver.PLRSolver`);
         ``"native"`` runs each row through the JIT-compiled C kernel
         (:mod:`repro.codegen.jit` — the kernel is fetched once per
         solve, then called once per row), degrading to the numpy pass
@@ -69,9 +70,6 @@ class BatchSolver:
         batch's longest row
         (:func:`~repro.plr.solver.resolve_backend`), and that choice
         steers every row, however short.
-    workers / shard_options:
-        Process-backend pool tuning, as on
-        :class:`~repro.plr.solver.PLRSolver`.
     """
 
     def __init__(
@@ -80,8 +78,6 @@ class BatchSolver:
         machine: MachineSpec | None = None,
         tracer=None,
         backend: str = "single",
-        workers: int | None = None,
-        shard_options=None,
     ) -> None:
         recurrence = Recurrence.coerce(recurrence)
         check_backend(backend)
@@ -89,11 +85,6 @@ class BatchSolver:
         self.machine = machine or MachineSpec.titan_x()
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
-        if shard_options is None:
-            from repro.parallel.sharding import ShardOptions
-
-            shard_options = ShardOptions(workers=workers)
-        self.shard_options = shard_options
 
     def plan_for(self, n: int) -> ExecutionPlan:
         """The shared plan for rows of length n (same planner as PLR)."""
@@ -130,4 +121,4 @@ class BatchSolver:
         else:
             name, args = "batch_solve", {"batch": rows, "n": n, "m": plan.chunk_size}
         with tracer.span(name, cat="batch", args=args if tracer.enabled else None):
-            return handle(values, tracer, shard_options=self.shard_options)[0]
+            return handle(values, tracer)[0]

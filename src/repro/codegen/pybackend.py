@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.codegen.ir import KernelIR
 from repro.core.errors import BackendError
+from repro.plr.factors import working_coefficients
 from repro.plr.optimizer import FactorRealization
 from repro.plr.phase2 import transition_matrix
 
@@ -40,6 +41,16 @@ def _python_literal(ir: KernelIR, value) -> str:
     if ir.is_integer:
         return str(int(value))
     return repr(float(np.float32(value) if ir.dtype == np.float32 else float(value)))
+
+
+def _coefficients(ir: KernelIR, coefficients) -> list:
+    """The emitted module's coefficient literals.  An integer dtype's
+    are reduced into its ring, as
+    :func:`~repro.plr.factors.working_coefficients` does, so the
+    module's cast of each fits (-1 is 2^32 - 1 in uint32)."""
+    if ir.is_integer:
+        return [int(c) for c in working_coefficients(coefficients, ir.dtype)]
+    return [v if isinstance(v, int) else float(v) for v in coefficients]
 
 
 def _emit_factor_row(ir: KernelIR, j: int) -> str:
@@ -93,8 +104,8 @@ def emit_python(ir: KernelIR) -> str:
     """Emit a self-contained Python module computing the recurrence."""
     sig = ir.recurrence.signature
     k = ir.order
-    ff = [v if isinstance(v, int) else float(v) for v in sig.feedforward]
-    fb = [v if isinstance(v, int) else float(v) for v in sig.feedback]
+    ff = _coefficients(ir, sig.feedforward)
+    fb = _coefficients(ir, sig.feedback)
     matrix = transition_matrix(ir.table)
     matrix_lits = ",\n    ".join(
         "[" + ", ".join(_python_literal(ir, v) for v in matrix[r]) + "]"

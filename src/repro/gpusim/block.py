@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.gpusim.warp import Warp
 from repro.obs.tracer import NULL_TRACER, TracePid
-from repro.plr.factors import CorrectionFactorTable
+from repro.plr.factors import CorrectionFactorTable, working_coefficients
 
 __all__ = ["SharedMemory", "BlockStats", "ThreadBlock", "block_phase1"]
 
@@ -219,14 +219,10 @@ def block_phase1(
         raise SimulationError(
             f"factor table built for m={table.chunk_size}, block holds m={m}"
         )
-    feedback = [
-        b if isinstance(b, int) else float(b) for b in table.signature.feedback
-    ]
     regs = block.registers
-    if np.issubdtype(regs.dtype, np.integer):
-        coeffs = [np.asarray(b, dtype=regs.dtype) for b in feedback]
-    else:
-        coeffs = [regs.dtype.type(b) for b in feedback]
+    # An integer dtype takes each coefficient into its ring (-1 is
+    # 2^32 - 1 in uint32), as the host solver does.
+    coeffs = working_coefficients(table.signature.feedback, regs.dtype)
 
     # Thread-local serial solve over each thread's x registers.
     for i in range(1, x):

@@ -54,7 +54,7 @@ from repro.plr.phase2 import (
 
 from repro.parallel.sharding import ShardOptions, resolve_workers, slab_spans
 
-__all__ = ["solve_sharded", "solve_batch_sharded"]
+__all__ = ["solve_sharded"]
 
 
 def _pool_context():
@@ -221,51 +221,6 @@ def _phase2_slab_task(
     finally:
         work_shm.close()
         carries_shm.close()
-
-
-def _batch_slab_task(
-    work_name: str,
-    shape: tuple[int, int],
-    dtype_str: str,
-    span: tuple[int, int],
-    slab_index: int,
-    table: CorrectionFactorTable,
-    x: int,
-    trace: bool,
-    inject: str | None,
-):
-    """Batched solve, in a worker: full Phase 1 + 2 on a block of rows.
-
-    Batch rows are independent sequences, so sharding the *batch* axis
-    needs no cross-worker carry exchange at all — each worker runs both
-    phases in place on its rows of the shared ``(B, padded_n)`` buffer.
-    """
-    _maybe_inject(inject, slab_index)
-    tracer = Tracer() if trace else NULL_TRACER
-    dtype = np.dtype(dtype_str)
-    start, stop = span
-    m = table.chunk_size
-    work_shm = _attach(work_name)
-    try:
-        work = np.ndarray(shape, dtype=dtype, buffer=work_shm.buf)
-        rows = stop - start
-        chunk_view = work[start:stop].reshape(rows * (shape[1] // m), m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with tracer.span(
-                "batch_slab",
-                cat="parallel",
-                args={"slab": slab_index, "rows": rows},
-            ):
-                phase1_inplace(chunk_view, table, x, tracer=tracer)
-                batch_view = work[start:stop].reshape(rows, shape[1] // m, m)
-                phase2(batch_view, table, tracer=tracer, out=batch_view)
-        events = list(tracer.events)
-        work = None
-        chunk_view = None
-        batch_view = None
-        return slab_index, events
-    finally:
-        work_shm.close()
 
 
 class _ShmPair:
@@ -462,71 +417,3 @@ def solve_sharded(
         work = None
         shms.close()
 
-
-def solve_batch_sharded(
-    padded: np.ndarray,
-    table: CorrectionFactorTable,
-    x: int,
-    options: ShardOptions | None = None,
-    tracer=NULL_TRACER,
-) -> np.ndarray:
-    """Run both phases over a padded ``(B, padded_n)`` batch in a pool.
-
-    Shards the *batch* axis: rows are independent recurrences, so each
-    worker completes its rows end to end with no carry exchange.
-    Returns the ``(B, num_chunks, m)`` corrected result.
-    """
-    options = options or ShardOptions()
-    tracer = coerce_tracer(tracer)
-    m = table.chunk_size
-    if padded.ndim != 2 or padded.shape[1] % m:
-        raise ValueError(
-            f"expected a padded (B, n) batch with n a multiple of m={m}, "
-            f"got shape {padded.shape}"
-        )
-    batch, padded_n = padded.shape
-    num_chunks = padded_n // m
-    spans = slab_spans(batch, resolve_workers(options.workers, batch))
-    if len(spans) <= 1:
-        work = padded.reshape(-1, m).copy()
-        phase1_inplace(work, table, x, tracer=tracer)
-        shaped = work.reshape(batch, num_chunks, m)
-        return phase2(shaped, table, tracer=tracer, out=shaped)
-
-    dtype = padded.dtype
-    shms = _ShmPair([batch * padded_n * dtype.itemsize])
-    (work_shm,) = shms.segments
-    work = np.ndarray((batch, padded_n), dtype=dtype, buffer=work_shm.buf)
-    np.copyto(work, padded)
-
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(spans), mp_context=_pool_context()
-    )
-    try:
-        with tracer.span(
-            "batch_shards", cat="parallel", args={"slabs": len(spans)}
-        ):
-            futures = {
-                pool.submit(
-                    _batch_slab_task,
-                    work_shm.name,
-                    (batch, padded_n),
-                    dtype.str,
-                    span,
-                    i,
-                    table,
-                    x,
-                    tracer.enabled,
-                    options.inject,
-                ): i
-                for i, span in enumerate(spans)
-            }
-            for slab_index, events in _collect(futures, options.timeout_s, "batch solve"):
-                merge_worker_events(tracer, slab_index, events)
-        return np.array(
-            work.reshape(batch, num_chunks, m), copy=True
-        )
-    finally:
-        _shutdown(pool)
-        work = None
-        shms.close()

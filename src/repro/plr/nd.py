@@ -47,7 +47,6 @@ def solve_batch(
     plan: ExecutionPlan | None = None,
     tracer=NULL_TRACER,
     backend: str = "single",
-    shard_options=None,
 ) -> np.ndarray:
     """Compute the recurrence independently over every row of ``values``.
 
@@ -65,21 +64,17 @@ def solve_batch(
 
     ``backend`` takes every name in
     :data:`~repro.plr.solver.SOLVE_BACKENDS`, as the other entry points
-    do (:func:`~repro.plr.solver.prepare`).  ``"process"`` shards the
-    *batch axis* across a multicore pool
-    (:func:`repro.parallel.solve_batch_sharded`): rows are independent,
-    so each worker completes its rows end to end with no carry
-    exchange; ``shard_options`` tunes the pool.  ``"native"`` runs each
-    row through the compiled kernel and degrades to the single backend
-    when none can be built.
+    do (:func:`~repro.plr.solver.prepare`).  ``"process"`` runs the
+    same in-process pass as ``"single"``: only a 1-D solve shards.
+    ``"native"`` runs each row through the compiled kernel and degrades
+    to the single backend when none can be built.
 
     ``values`` may instead be a list or tuple of 1-D rows of any
     lengths; a list of outputs comes back.  The plan defaults to the
     longest row's.  The rows are packed into one grid of chunks
     (:func:`~repro.plr.tiled.packed_starts`) and solved in one tiled
     pass whose carry spine restarts at each row, so every output equals
-    ``PLRSolver.solve(row, plan=plan)`` bit for bit.  The process
-    backend runs ragged rows in this single pass too.
+    ``PLRSolver.solve(row, plan=plan)`` bit for bit.
     """
     check_backend(backend)
     recurrence = Recurrence.coerce(recurrence)
@@ -89,7 +84,7 @@ def solve_batch(
             return [np.zeros(0, dtype=dtype) for _ in values]
         return values.astype(dtype)
     handle = prepare(recurrence, n, dtype, backend, plan)
-    return handle(values, tracer, shard_options=shard_options)[0]
+    return handle(values, tracer)[0]
 
 
 def filter_axis(

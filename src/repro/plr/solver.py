@@ -14,7 +14,8 @@ which associates the sums differently from the merge tree.
 
 Every CPU entry point — :class:`PLRSolver`,
 :class:`~repro.batch.BatchSolver`, :func:`~repro.plr.nd.solve_batch`
-(and so the streams and the batch engine) and
+(and so the batch engine), the streams
+(:mod:`repro.plr.streaming`) and
 :class:`~repro.resilience.ResilientSolver` — solves through one seam,
 :func:`prepare`: it checks the coefficients, resolves ``"auto"``,
 plans, looks up the factor table once, and returns a
@@ -304,6 +305,10 @@ class PreparedSolve:
     * a list of 1-D rows of any lengths, returning a list.  The single
       and process backends solve them as one packed pass.
 
+    The process backend shards a 1-D input's chunks across its pool;
+    it runs a (B, n) array or a list in the in-process tiled pass, as
+    the single backend does.
+
     ``partial`` is the Phase 1 result as (chunks, m) when
     ``keep_partial`` is set and the tiled pass ran, else None.
     ``native`` is the native backend's
@@ -311,6 +316,12 @@ class PreparedSolve:
     failure degrades to the single backend here, unless
     ``native_fallback`` is False, in which case the typed error
     propagates.
+
+    ``entering = (carries, inputs)`` resumes every row of a (B, n)
+    array after earlier words, with (B, k) carries and (B, p) inputs,
+    both most recent first (:func:`~repro.plr.tiled.solve_tiled`); the
+    streams pass their boundary state this way.  Only the single
+    backend takes it.
     """
 
     recurrence: Recurrence
@@ -335,7 +346,12 @@ class PreparedSolve:
         keep_partial: bool = False,
         shard_options: ShardOptions | None = None,
         native_fallback: bool = True,
+        entering: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple:
+        if entering is not None and self.backend != "single":
+            raise ValueError(
+                f"an entering state runs on the single backend, not {self.backend!r}"
+            )
         if self.backend == "native":
             try:
                 return self._native(values, tracer, context)
@@ -343,9 +359,10 @@ class PreparedSolve:
                 if not native_fallback:
                     raise
                 return self._degrade(exc, values, tracer, context, keep_partial)
-        if self.backend == "process" and not isinstance(values, list):
+        one_row = not isinstance(values, list) and values.ndim == 1
+        if self.backend == "process" and one_row:
             return self._sharded(values, tracer, context, shard_options), None, None
-        return self._tiled(values, tracer, context, keep_partial)
+        return self._tiled(values, tracer, context, keep_partial, entering)
 
     def _degrade(self, exc, values, tracer, context, keep_partial) -> tuple:
         """The one place a native failure degrades: count it, mark the
@@ -365,7 +382,7 @@ class PreparedSolve:
         )
         return out, partial, NativeAttempt(used=False, error=f"{type(exc).__name__}: {exc}")
 
-    def _tiled(self, values, tracer, context, keep_partial) -> tuple:
+    def _tiled(self, values, tracer, context, keep_partial, entering=None) -> tuple:
         ff = self.recurrence.signature.feedforward
         m, x = self.plan.chunk_size, self.plan.values_per_thread
         if isinstance(values, list):
@@ -386,6 +403,7 @@ class PreparedSolve:
         out, partial = solve_tiled(
             values[None] if values.ndim == 1 else values, ff, self.table, x,
             tracer=tracer, context=context, keep_partial=keep_partial,
+            entering=entering,
         )
         if partial is not None:
             partial = partial.reshape(-1, m)
@@ -450,21 +468,13 @@ class PreparedSolve:
         return out, None, record
 
     def _sharded(self, values, tracer, context, shard_options) -> np.ndarray:
-        """The process backend: a (B, n) array shards its rows, which
-        need no carry exchange; a 1-D input shards its chunks."""
-        from repro.parallel.backend import solve_batch_sharded, solve_sharded
+        """The process backend on a 1-D input: its chunks shard across
+        the pool (:func:`repro.parallel.solve_sharded`)."""
+        from repro.parallel.backend import solve_sharded
 
-        m, x = self.plan.chunk_size, self.plan.values_per_thread
-        n = values.shape[-1]
+        n = values.size
         # Zero-pad to whole chunks.  Trailing zeros never influence
         # earlier outputs, so the unpadded prefix is exact.
-        if values.ndim == 2:
-            padded = np.zeros((len(values), -(-n // m) * m), dtype=self.dtype)
-            padded[:, :n] = self._map_rows(values, tracer, context)
-            corrected = solve_batch_sharded(
-                padded, self.table, x, options=shard_options, tracer=tracer
-            )
-            return corrected.reshape(len(values), -1)[:, :n]
         padded = np.zeros(self.plan.padded_n, dtype=self.dtype)
         padded[:n] = self._map_rows(values, tracer, context)
         sharded_ctx = _child(context)
@@ -477,7 +487,7 @@ class PreparedSolve:
             # Workers correct their shared slabs in place; no host-side
             # Phase 1 snapshot exists to expose.
             corrected = solve_sharded(
-                padded, self.table, x,
+                padded, self.table, self.plan.values_per_thread,
                 options=shard_options, tracer=tracer, context=sharded_ctx,
             )
         return corrected.reshape(-1)[:n]

@@ -4,20 +4,21 @@ The paper's kernel processes one resident array.  Real DSP and
 data-pipeline users rarely have that luxury: audio arrives in buffers,
 logs in batches, and the recurrence must continue *seamlessly* across
 them.  The algebra PLR already uses makes this nearly free — a block
-boundary is just another chunk border, so the state to carry is the
-last k outputs, and the incoming state corrects a new block through
-the same precomputed factor table.
+boundary is just another chunk border (§2.2), so the state to carry is
+the last k outputs, and Phase 2 hands it to the block's first chunk as
+it hands every chunk its predecessor's carries.
 
 :class:`BatchStreamingSolver` does exactly that for B streams of one
 signature at once, and :class:`StreamingSolver` is its one-row case:
 
 * ``push`` computes the recurrence over the next block of every stream
   as if it were appended to everything pushed before, in O(block)
-  work: the block is solved from zero history through
-  :func:`~repro.plr.nd.solve_batch`, and the incoming carries are
-  folded in through the factor table;
+  work: the block is one prepared solve
+  (:func:`~repro.plr.solver.prepare`) whose tiled pass starts each
+  row's carry spine from the stream's carries;
 * the FIR map stage is also made seamless by retaining the last p
-  *inputs* across the boundary;
+  *inputs* across the boundary, which the pass's map stage reads as
+  the words before the block;
 * ``state`` exposes (and ``load_state`` restores) the k-output /
   p-input boundary state, so pipelines can checkpoint and resume.
 
@@ -34,11 +35,10 @@ import numpy as np
 from repro.core.errors import StateError
 from repro.core.recurrence import Recurrence
 from repro.core.signature import Signature
-from repro.plr.factors import CorrectionFactorTable
-from repro.plr.nd import solve_batch
 # cached_factor_table stays importable here: the benchmark's traced run
 # wraps it by attribute on this module.
-from repro.plr.solver import cached_factor_table
+from repro.plr.solver import cached_factor_table  # noqa: F401
+from repro.plr.solver import prepare
 
 __all__ = ["StreamState", "StreamingSolver", "BatchStreamingSolver"]
 
@@ -115,10 +115,6 @@ class BatchStreamingSolver:
         self.dtype = np.dtype(dtype)
         self._order = recurrence.order
         self._fir_order = recurrence.signature.fir_order
-        # The stream owns the map stage (it needs input history across
-        # boundaries), so each block is solved as the pure-recursive
-        # part — otherwise the FIR stage would run twice.
-        self._recursive = Recurrence(recurrence.recursive_signature)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -205,19 +201,14 @@ class BatchStreamingSolver:
         self._position = 0
 
     # ------------------------------------------------------------------
-    def _map_with_history(self, blocks: np.ndarray) -> np.ndarray:
-        """The FIR stage (2) over the blocks, seeing prior raw inputs."""
-        if not self.recurrence.has_map_stage:
-            return blocks
-        extended = np.concatenate([self._inputs[:, ::-1], blocks], axis=1)
-        return self.recurrence.apply_map_stage(extended)[:, self._fir_order :]
-
     def push(self, blocks: np.ndarray) -> np.ndarray:
         """Advance every stream by one ``(B, block)`` matrix of values.
 
         Semantics: row b is identical to solving the concatenation of
         every row b pushed so far and returning the slice for this
-        block.
+        block.  A signature whose coefficients the working dtype cannot
+        hold raises :class:`~repro.core.errors.NumericalError`, as
+        :class:`~repro.plr.PLRSolver` does.
         """
         blocks = np.asarray(blocks)
         if blocks.ndim != 2 or blocks.shape[0] != self.batch_size:
@@ -229,17 +220,15 @@ class BatchStreamingSolver:
         if bn == 0:
             return blocks.astype(self.dtype)
         blocks = blocks.astype(self.dtype, copy=False)
+        solve = prepare(self.recurrence, bn, self.dtype)
+        # A stream with no history solves exactly as a solo solve of
+        # the block, and a zero carry never meets an infinite factor.
+        entering = None
+        if self._outputs.any() or self._inputs.any():
+            entering = (self._outputs, self._inputs)
+        out = solve(blocks, entering=entering)[0]
 
-        mapped = self._map_with_history(blocks)
-        # Solve all rows as standalone sequences, then fold in each
-        # stream's incoming carries through the shared factor rows —
-        # the same cross-border correction Phase 2 applies, vectorized
-        # over the batch axis.
-        out = solve_batch(mapped, self._recursive, dtype=self.dtype)
         k = self._order
-        if np.any(self._outputs != 0):
-            _fold_carries(out, self._outputs, self._factor_table(bn))
-
         new_outputs = np.zeros((self.batch_size, k), dtype=self.dtype)
         take = min(k, bn)
         new_outputs[:, :take] = out[:, bn - take : bn][:, ::-1]
@@ -257,15 +246,6 @@ class BatchStreamingSolver:
         self._outputs = new_outputs
         self._position += bn
         return out
-
-    def _factor_table(self, length: int) -> CorrectionFactorTable:
-        # Round the table length up to limit cache churn across
-        # variable block sizes; the table itself comes from the shared
-        # process-wide LRU.
-        size = max(64, 1 << (length - 1).bit_length())
-        return cached_factor_table(
-            self.recurrence.recursive_signature, size, self.dtype
-        )
 
 
 class StreamingSolver(BatchStreamingSolver):
@@ -348,27 +328,3 @@ class StreamingSolver(BatchStreamingSolver):
         if not outputs:
             return np.zeros(0, dtype=self.dtype)
         return np.concatenate(outputs)
-
-
-def _fold_carries(
-    local: np.ndarray, carries: np.ndarray, table: CorrectionFactorTable
-) -> None:
-    """Add ``F_j[i] * carries[..., j]`` to a freshly solved block, in place.
-
-    ``local`` is the (..., n) zero-history solution of the block and
-    ``carries`` the (..., k) outputs preceding it, most recent first.
-    Carry j touches only the first ``row_extents[j]`` words, where its
-    factor row is not exactly zero, and an all-ones row adds the carry
-    without a multiply — the same cut rows Phase 2 corrects with.  Zero
-    carries (every stream's, in a batch) are skipped.
-    """
-    n = local.shape[-1]
-    for j in range(carries.shape[-1]):
-        carry = carries[..., j, None]
-        if not np.any(carry):
-            continue
-        target = local[..., : min(n, table.row_extents[j])]
-        if table.unit_rows[j]:
-            target += carry
-        else:
-            target += table.factors[j, : target.shape[-1]] * carry

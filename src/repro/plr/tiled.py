@@ -10,7 +10,9 @@ hierarchy onto a CPU's caches:
   stage), merged (Phase 1) and corrected (Phase 2) while it stays in L2;
 * *tile order* stands in for Phase 2's pipelined chunk order: a tile's
   carry spine starts from the global carries the previous tile of the
-  same row left behind (``propagate_carries(..., base=)``);
+  same row left behind (``propagate_carries(..., base=)``), and a row's
+  first tile from the row's *entering* carries when it resumes a
+  stream, which is one more chunk border;
 * the output buffer is the only full-size allocation, and each of its
   words is written once by the fill and corrected in cache; the fill,
   Phase 1 and the correction share two tile-sized scratch buffers
@@ -81,14 +83,15 @@ def solve_tiled(
     context=None,
     keep_partial: bool = False,
     row_starts: list[int] | None = None,
+    entering: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Solve every row of a (B, n) matrix in one pass over cache-sized tiles.
 
     ``values`` holds the raw inputs in any dtype; each row is its own
-    sequence with zero history.  ``feedforward`` is the signature's map
-    stage, ``table`` the factor table of its recursive part (its dtype
-    is the working dtype, its chunk size m) and ``x`` the values per
-    thread.  Returns ``(out, partial)``: ``out`` is (B, P), P being n
+    sequence, with zero history unless ``entering`` gives one.
+    ``feedforward`` is the signature's map stage, ``table`` the factor
+    table of its recursive part (its dtype is the working dtype, its
+    chunk size m) and ``x`` the values per thread.  Returns ``(out, partial)``: ``out`` is (B, P), P being n
     rounded up to whole chunks (callers slice off the padding), and
     ``partial`` the pristine Phase 1 result in the same layout when
     ``keep_partial`` is set, else None.
@@ -106,12 +109,27 @@ def solve_tiled(
     starts a row takes its local carries as its global ones and gets no
     correction; every other chunk is handled as in an unpacked row, and
     only those emit look-back events.
+
+    ``entering = (carries, inputs)`` resumes every row of a rectangular
+    ``values`` after earlier words instead of from zero history:
+    ``carries`` (B, k) holds the last k outputs before each row and
+    ``inputs`` (B, p) its last p inputs, both most recent first.  Row
+    r's first tile starts its carry spine from ``carries[r]``, as every
+    later tile starts from the one before, and the map stage reads the
+    p inputs as the words before column 0.
     """
     m = table.chunk_size
+    history = 0
     if row_starts is None:
         rows, n = values.shape
         chunks = -(-n // m)
         starts = [0]
+        if entering is not None:
+            carries, inputs = entering
+            carries = np.asarray(carries, dtype=table.dtype)
+            history = inputs.shape[1]
+            if history:
+                values = np.concatenate([inputs[:, ::-1], values], axis=1)
     else:
         rows, starts = 1, row_starts
         chunks = starts[-1] + row_chunks(values[-1].size, m) if starts else 0
@@ -133,7 +151,7 @@ def solve_tiled(
         tile = out[r0:r1, c0 * m : c1 * m]
         with tracer.span("map_stage", cat="solver", link=link()):
             if row_starts is None:
-                _fill(tile, values[r0:r1], c0 * m, ff, scratch[0])
+                _fill(tile, values[r0:r1], c0 * m + history, ff, scratch[0])
             else:
                 _fill_packed(tile, values, starts, c0, c1, ff, scratch[0])
         with tracer.span(
@@ -149,12 +167,16 @@ def solve_tiled(
         if row_starts is not None:
             inside = starts[bisect_left(starts, c0) : bisect_left(starts, c1)]
             restarts = [start - c0 for start in inside]
+        if c0:
+            base = carry
+        else:
+            base = carries[r0:r1] if entering is not None else None
         with tracer.span("phase2", cat="solver", link=link()):
             carry = _correct(
                 tile.reshape(r1 - r0, c1 - c0, m),
                 table,
                 matrix,
-                carry if c0 else None,
+                base,
                 tracer,
                 scratch[0],
                 restarts,
@@ -270,29 +292,33 @@ def _scale(values: np.ndarray, coeff, out: np.ndarray) -> None:
 def _correct(tile, table, matrix, base, tracer, scratch, restarts=None) -> np.ndarray:
     """Phase 2 on one (R, C, m) tile of Phase 1 output, in place.
 
-    ``base`` holds the global carries entering the tile's first chunk
-    when the tile continues its row, or None when it starts its rows.
+    ``base`` (R, k) holds the global carries entering each row's first
+    chunk in the tile when the tile continues its rows, or None when it
+    starts them from zero history.
     ``restarts`` lists the tile's chunks that start a packed row (R = 1
     only), in order: they keep their local carries and are not
     corrected.  None is an unpacked tile.
-    Returns the global carries leaving the tile's last chunk (of its
-    first row), the ``base`` of the next tile of that row.  Only the
-    table's live columns are corrected.
+    Returns the (R, k) global carries leaving the tile's last chunks,
+    the ``base`` of the next tile of a row.  Only the table's live
+    columns are corrected.
     """
     locals_ = local_carries(tile, table.order)
     with tracer.span("propagate_carries", cat="phase2"):
         if tile.shape[0] == 1:
             global_ = propagate_carries(
-                locals_[0], matrix, base=base, restarts=restarts
+                locals_[0],
+                matrix,
+                base=None if base is None else base[0],
+                restarts=restarts,
             )[None]
         else:
-            global_ = propagate_carries(locals_, matrix)
+            global_ = propagate_carries(locals_, matrix, base=base)
     with tracer.span("apply_global_correction", cat="phase2"):
         if base is None:
             first, prev = 1, global_[:, :-1]
         else:
             first = 0
-            prev = np.concatenate([base[None, None], global_[:, :-1]], axis=1)
+            prev = np.concatenate([base[:, None], global_[:, :-1]], axis=1)
         factors = table.live_factors
         # prev[:, c - first] feeds chunk c.  A packed tile corrects
         # each run of chunks that continue a row with its own call, so
@@ -321,4 +347,4 @@ def _correct(tile, table, matrix, base, tracer, scratch, restarts=None) -> np.nd
                     table.unit_rows,
                     scratch,
                 )
-    return global_[0, -1]
+    return global_[:, -1]

@@ -475,7 +475,7 @@ class TestPackedPass:
     def test_process_backend_runs_ragged_rows_in_the_packed_pass(self, signature, rng):
         recurrence = Recurrence.parse(signature)
         rows = [make_values(recurrence, n) for n in (3, 2500, 40)]
-        outputs = BatchSolver(signature, backend="process", workers=2).solve(rows)
+        outputs = BatchSolver(signature, backend="process").solve(rows)
         solver = PLRSolver(signature)
         for row, out in zip(rows, outputs):
             assert out.tobytes() == solver.solve(row).tobytes()

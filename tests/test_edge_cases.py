@@ -196,6 +196,32 @@ class TestUnsignedWorkingDtype:
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(serial_full(values, signature, dtype=np.uint32), expected)
 
+    @pytest.mark.parametrize("signature", ["(1, -1: 1)", "(1: 2, -1)", "(1: 1, -1)"])
+    def test_generated_python_backend(self, signature):
+        # The emitted module casts each map and feedback coefficient to
+        # its dtype; the literals it is handed are already in the ring.
+        # The small GPU plans x = 11, so the thread-local step runs.
+        values = (np.arange(600) % 7).astype(np.uint32)
+        kernel = PLRCompiler(MachineSpec.small_test_gpu()).compile(
+            signature, n=600, backend="python", dtype=np.uint32
+        ).kernel
+        got = kernel(values)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(
+            got, serial_full(values, Signature.parse(signature), dtype=np.uint32)
+        )
+
+    def test_simulator_thread_local_step(self):
+        from repro.gpusim.executor import SimulatedPLR
+
+        signature = Signature.parse("(1: 2, -1)")
+        values = (np.arange(600) % 7).astype(np.uint32)
+        result = SimulatedPLR(Recurrence(signature), MachineSpec.small_test_gpu()).run(values)
+        assert result.output.dtype == np.uint32
+        np.testing.assert_array_equal(
+            result.output, serial_full(values, signature, dtype=np.uint32)
+        )
+
 
 class TestFactorTableCaching:
     def test_solver_instances_share_tables(self, rng):

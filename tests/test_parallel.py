@@ -286,13 +286,13 @@ class TestBatchSharding:
         single = BatchSolver("(1: 2, -1)")
         plan = small_plan(PLRSolver("(1: 2, -1)"), 300)
         expected = single.solve(batch, plan=plan)
-        sharded = BatchSolver("(1: 2, -1)", backend="process", workers=3)
+        sharded = BatchSolver("(1: 2, -1)", backend="process")
         got = sharded.solve(batch, plan=plan)
         assert np.array_equal(got, expected)
 
     def test_single_row_runs_inline(self):
         batch = np.ones((1, 100), dtype=np.int64)
-        sharded = BatchSolver("(1: 1)", backend="process", workers=4)
+        sharded = BatchSolver("(1: 1)", backend="process")
         out = sharded.solve(batch)
         assert np.array_equal(out[0], np.arange(1, 101, dtype=np.int64))
 

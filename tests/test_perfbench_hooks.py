@@ -89,6 +89,41 @@ def test_batch_mixed_setup_builds_what_the_grouped_passes_use(perfbench, monkeyp
     assert looked_up == expected
 
 
+def test_stream_1d_setup_builds_every_table_a_push_reads(perfbench, monkeypatch):
+    _, workloads = perfbench
+    import repro.plr.solver as plr_solver
+    import repro.plr.streaming as streaming
+
+    workload = workloads.Stream1D(1, 2)
+    built = {
+        (str(key.recurrence.recursive_signature), key.chunk_size, key.dtype.str)
+        for key in workload.setup_keys()
+    }
+    looked_up = set()
+
+    def spying(original):
+        def spy(signature, chunk_size, dtype):
+            looked_up.add((str(signature.recursive_part()), chunk_size, np.dtype(dtype).str))
+            return original(signature, chunk_size, dtype)
+
+        return spy
+
+    # A push may look tables up through either module's binding.
+    for module in (plr_solver, streaming):
+        monkeypatch.setattr(
+            module, "cached_factor_table", spying(module.cached_factor_table)
+        )
+    for session in workload.sessions:
+        for stream in workload.streams.values():
+            stream.reset()
+        for name, stream in workload.streams.items():
+            for block in session[name]:
+                stream.push(block)
+    assert looked_up
+    # A subset, not equality: the set-up may build tables no push reads.
+    assert looked_up <= built, sorted(looked_up - built)
+
+
 def test_resilient_chain_plans_through_the_traced_planner(monkeypatch):
     # The traced run wraps plan_execution on repro.plr.solver; the
     # chain's planning (batch_mixed's isolation re-runs) must go through

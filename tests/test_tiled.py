@@ -19,13 +19,14 @@ import pytest
 from repro.batch.solver import BatchSolver
 from repro.core.coefficients import table1_signatures
 from repro.core.reference import fir_map, serial_full
+from repro.core.signature import Signature
 from repro.core.validation import compare_results
 from repro.obs.tracer import Tracer
 from repro.plr import tiled
 from repro.plr.nd import solve_batch
 from repro.plr.phase1 import phase1
 from repro.plr.phase2 import LOOKBACK_SUMMARY_THRESHOLD, propagate_carries
-from repro.plr.solver import PLRSolver
+from repro.plr.solver import PLRSolver, cached_factor_table, prepare
 from repro.plr.streaming import StreamingSolver
 
 TABLE1 = table1_signatures()
@@ -324,3 +325,78 @@ class TestPackedPass:
             np.testing.assert_array_equal(out, np.arange(1, row.size + 1))
         lookbacks = [e.args["chunk"] for e in tracer.events if e.name == "lookback"]
         assert lookbacks == [2, 3, 5]
+
+
+def resumable_signature(fir_order: int, order: int, integer: bool):
+    """A signature with p = ``fir_order`` and k = ``order``; the float
+    ones are stable filters, so float32 meets the tolerance."""
+    if integer:
+        feedforward = "1, -1, 2, -1".split(", ")[: fir_order + 1]
+        feedback = {1: "1", 2: "2, -1", 3: "3, -3, 1"}[order]
+    else:
+        feedforward = {0: ["0.2"], 1: ["0.9", "-0.9"], 3: ["0.729", "-2.187", "2.187", "-0.729"]}[
+            fir_order
+        ]
+        feedback = {1: "0.8", 2: "1.6, -0.64", 3: "2.4, -1.92, 0.512"}[order]
+    return Signature.parse(f"({', '.join(feedforward)}: {feedback})")
+
+
+def boundary(inputs: np.ndarray, outputs: np.ndarray, fir_order: int, order: int):
+    """The (B, k) carries and (B, p) inputs after ``inputs`` / ``outputs``,
+    most recent first, zero before the first word."""
+    carries = np.zeros((len(outputs), order), dtype=outputs.dtype)
+    history = np.zeros((len(inputs), fir_order), dtype=inputs.dtype)
+    recent = outputs[:, ::-1][:, :order]
+    carries[:, : recent.shape[1]] = recent
+    recent = inputs[:, ::-1][:, :fir_order]
+    history[:, : recent.shape[1]] = recent
+    return carries, history
+
+
+class TestEnteringState:
+    """A pass resumed from a boundary state continues the rows it resumes."""
+
+    @pytest.mark.parametrize("per_tile", [1, 2, 3], ids=lambda t: f"tile={t}chunks")
+    @pytest.mark.parametrize("order", [1, 2, 3], ids=lambda k: f"k={k}")
+    @pytest.mark.parametrize("fir_order", [0, 1, 3], ids=lambda p: f"p={p}")
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.float64])
+    def test_resumed_rows_equal_the_one_shot_tail(
+        self, dtype, fir_order, order, per_tile, monkeypatch, rng
+    ):
+        # One-chunk blocks of three rows share tiles; four-chunk blocks
+        # are cut into runs.  Histories shorter than p and k leave
+        # zeros in the state, as a stream's first words do.
+        monkeypatch.setattr(tiled, "TILE_BYTES", per_tile * CHUNK * np.dtype(dtype).itemsize)
+        integer = np.issubdtype(dtype, np.integer)
+        signature = resumable_signature(fir_order, order, integer)
+        table = cached_factor_table(signature.recursive_part(), CHUNK, dtype)
+        ff = signature.feedforward
+        for batch in (1, 3):
+            for history, n in ((1, CHUNK - 1), (2 * CHUNK + 3, 1), (CHUNK + 5, 3 * CHUNK + 5)):
+                values = values_for(dtype, (batch, history + n), rng)
+                whole, _ = tiled.solve_tiled(values, ff, table, X)
+                state = boundary(values[:, :history], whole[:, :history], fir_order, order)
+                out, _ = tiled.solve_tiled(values[:, history:], ff, table, X, entering=state)
+                got, expected = out[:, :n], whole[:, history : history + n]
+                if integer:
+                    assert got.tobytes() == expected.tobytes()
+                else:
+                    report = compare_results(got, expected)
+                    assert report.ok, report
+
+    @pytest.mark.parametrize("backend", ["native", "process"])
+    def test_only_the_single_backend_takes_an_entering_state(self, backend):
+        solve = prepare("(1: 1)", 8, np.int32, backend)
+        state = (np.ones((1, 1), dtype=np.int32), np.zeros((1, 0), dtype=np.int32))
+        with pytest.raises(ValueError, match="entering state"):
+            solve(np.ones((1, 8), dtype=np.int32), entering=state)
+
+    @pytest.mark.parametrize("name,dtype", cases())
+    def test_first_push_is_the_solo_solve(self, name, dtype, rng):
+        # From the zero state a push passes no entering state, so its
+        # bits are the solo solve's, floats and the sign of zero included.
+        signature = TABLE1[name]
+        block = values_for(dtype, 2500, rng)
+        pushed = StreamingSolver(signature, dtype=dtype).push(block)
+        solo = PLRSolver(signature).solve(block, dtype=dtype)
+        assert pushed.tobytes() == solo.tobytes()
