@@ -23,6 +23,10 @@
 #   3. bench gate      — re-runs the committed BENCH_parallel.json
 #      benchmark and fails on a >25% per-row slowdown.
 #
+# After the last stage it prints the net line count of the Python
+# sources under src/, the size figure each change reports; it gates
+# nothing.
+#
 # If stage 3 fails because of an *intentional* performance change,
 # refresh the baseline and commit it:
 #
@@ -66,4 +70,5 @@ else
     python -m repro.cli bench --compare BENCH_parallel.json --tolerance 25
 fi
 
+echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"
 echo "verify: all stages passed"

@@ -36,7 +36,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import coerce_tracer
 from repro.batch.planner import BatchGroup, BatchPlanner, BatchRequest
 from repro.batch.solver import BatchSolver
-from repro.gpusim.spec import MachineSpec
 from repro.plr.solver import check_backend
 from repro.resilience.solver import FallbackPolicy, solve_request
 
@@ -78,8 +77,6 @@ class BatchEngine:
     policy:
         The :class:`~repro.resilience.solver.FallbackPolicy` used when
         a request is isolated into its own resilience chain.
-    machine:
-        Planning machine for the grouped passes (default: Titan X).
     metrics:
         Registry for the ``batch.*`` metrics; a private one by default
         (read it via :attr:`metrics`).
@@ -91,44 +88,37 @@ class BatchEngine:
         tests; :func:`time.monotonic` by default).  Deadlines on
         :class:`~repro.batch.planner.BatchRequest` are absolute values
         of this clock.
-    backend / workers / shard_options:
+    backend:
         Execution backend of the grouped passes
         (:class:`~repro.batch.BatchSolver`), also forwarded into the
-        resilience chain for *isolated* re-runs.  ``"process"`` lets an
-        isolated request use the multicore sharded path (its worker
-        lanes then appear in the request's trace), sized by ``workers``
-        / ``shard_options``; its grouped passes run in this process,
-        since a batch never shards.  ``"native"`` switches the grouped
-        pass to the JIT-compiled C kernels (per-row, one compile per
-        kernel shape) with automatic numpy fallback.  ``"auto"`` picks
-        native or single for each grouped pass from its longest row
-        (:func:`~repro.plr.solver.resolve_backend`); isolated re-runs
-        then use the single-process chain.  Any other name raises
-        ``ValueError`` here, before a queue runs.
+        resilience chain for *isolated* re-runs.  ``"native"`` switches
+        the grouped pass to the JIT-compiled C kernels (per-row, one
+        compile per kernel shape) with automatic numpy fallback.
+        ``"auto"`` picks native or single for each grouped pass from its
+        longest row (:func:`~repro.plr.solver.resolve_backend`);
+        isolated re-runs then use the single-backend chain.  Any other
+        name raises ``ValueError`` here, before a queue runs.  Grouped
+        passes and isolated re-runs both run in this process, planned
+        for the default machine, so every row computes as its own solve
+        does.
     """
 
     def __init__(
         self,
         planner: BatchPlanner | None = None,
         policy: FallbackPolicy | None = None,
-        machine: MachineSpec | None = None,
         metrics: MetricsRegistry | None = None,
         tracer=None,
         clock=time.monotonic,
         backend: str = "single",
-        workers: int | None = None,
-        shard_options=None,
     ) -> None:
         check_backend(backend)
         self.planner = planner or BatchPlanner()
         self.policy = policy or FallbackPolicy()
-        self.machine = machine or MachineSpec.titan_x()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = coerce_tracer(tracer)
         self.clock = clock
         self.backend = backend
-        self.workers = workers
-        self.shard_options = shard_options
 
     # ------------------------------------------------------------------
     def execute(
@@ -281,10 +271,7 @@ class BatchEngine:
             "batch_group", cat="batch", args=span_args, link=group_ctx
         ):
             solver = BatchSolver(
-                group.signature,
-                machine=self.machine,
-                tracer=self.tracer,
-                backend=self.backend,
+                group.signature, tracer=self.tracer, backend=self.backend
             )
             try:
                 plan = solver.plan_for(group.bucket)
@@ -389,8 +376,6 @@ class BatchEngine:
             # degradation story does not depend on whether this machine
             # has a C compiler.
             backend="single" if self.backend == "auto" else self.backend,
-            workers=self.workers,
-            shard_options=self.shard_options,
         )
         return RequestOutcome(
             index=index,

@@ -61,8 +61,8 @@ class BatchRequest:
     trace: object | None = None
     """Optional :class:`~repro.obs.context.TraceContext` naming the
     request — the serving layer mints one per admitted request.  The
-    engine parents its spans (group pass, isolation re-runs, worker
-    lanes) under it so one request reconstructs as one trace tree."""
+    engine parents its spans (group pass, isolation re-runs, solver
+    stages) under it so one request reconstructs as one trace tree."""
 
     def __post_init__(self) -> None:
         self.signature = Recurrence.coerce(self.signature).signature

@@ -19,12 +19,17 @@ shapes:
   (row, chunk) pairs at once and Phase 2's carry spine advances every
   row per chunk step.  Row i equals ``PLRSolver.solve(batch[i])`` under
   the same plan exactly for integer dtypes (wrap-around arithmetic is
-  chunking-invariant), and to within a few ulps for floats (the spine
-  uses a matrix product where the single-request path uses a
-  matrix-vector product).
+  chunking-invariant).  A float row need not: where rows share a tile,
+  the spine's (R, k) @ (k, k) product rounds differently from the
+  solo solve's matrix-vector product, and growing factors amplify the
+  difference.  Float order-2 and order-3 prefix sums differ from their
+  solo solves in most words, neither side consistently closer to a
+  float64 serial solve; the other Table 1 signatures matched bit for
+  bit.  A caller that needs a float row's solo bits passes a list of
+  rows.
 
-Both shapes run in this process on every backend but native; a batch
-never shards across processes.
+Both shapes run in this process, on the numpy pass or the native
+kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import numpy as np
 
 from repro.core.recurrence import Recurrence
 from repro.core.signature import Signature
-from repro.gpusim.spec import MachineSpec
 from repro.obs.tracer import coerce_tracer
 from repro.plr.nd import solve_batch
 from repro.plr.planner import ExecutionPlan, plan_execution
@@ -49,17 +53,12 @@ class BatchSolver:
     ----------
     recurrence:
         The recurrence (or signature / signature string) every row
-        computes.
-    machine:
-        The GPU whose planning heuristics to follow (default: the
-        paper's Titan X) — rows share one plan chosen for the longest
-        row.
+        computes.  Rows share one plan, chosen for the longest row on
+        the default machine.
     tracer:
         Observability hook (``True`` / a shared tracer / ``None``).
     backend:
         ``"single"`` (default) vectorizes in this process;
-        ``"process"`` runs the same in-process pass, since only a 1-D
-        solve shards (:class:`~repro.plr.solver.PLRSolver`);
         ``"native"`` runs each row through the JIT-compiled C kernel
         (:mod:`repro.codegen.jit` — the kernel is fetched once per
         solve, then called once per row), degrading to the numpy pass
@@ -75,20 +74,18 @@ class BatchSolver:
     def __init__(
         self,
         recurrence: Recurrence | Signature | str,
-        machine: MachineSpec | None = None,
         tracer=None,
         backend: str = "single",
     ) -> None:
         recurrence = Recurrence.coerce(recurrence)
         check_backend(backend)
         self.recurrence = recurrence
-        self.machine = machine or MachineSpec.titan_x()
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
 
     def plan_for(self, n: int) -> ExecutionPlan:
         """The shared plan for rows of length n (same planner as PLR)."""
-        return plan_execution(self.recurrence.signature, n, self.machine)
+        return plan_execution(self.recurrence.signature, n)
 
     def solve(
         self,

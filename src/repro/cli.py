@@ -361,15 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="single",
         help="solve backend for grouped flushes: single = vectorized "
         "numpy; native = JIT-compiled C kernels (numpy fallback when no "
-        "compiler); process = multicore sharded pool; auto = native for "
-        "a grouped pass whose longest row has 2^15 words or more when a "
-        "C compiler is available, else single",
-    )
-    serve_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-pool size for isolated re-runs (process backend only)",
+        "compiler); auto = native for a grouped pass whose longest row "
+        "has 2^15 words or more when a C compiler is available, else single",
     )
     serve_p.add_argument(
         "--self-test",
@@ -1112,7 +1105,6 @@ def _serve_config(args: argparse.Namespace, port: int | None = None):
         breaker_cooldown_s=args.breaker_cooldown,
         metrics_path=args.metrics_out,
         backend=args.backend,
-        workers=args.workers,
     )
 
 

@@ -94,9 +94,8 @@ class WorkerError(ReproError):
     a pool worker exits abnormally (killed, OOM, segfault — surfacing
     as a broken process pool) or fails to return within the configured
     timeout.  The shared-memory work buffer may hold a half-corrected
-    state at that point, so the backend never returns partial output;
-    :class:`~repro.resilience.ResilientSolver` reacts by degrading to
-    the single-process path.
+    state at that point, so the backend never returns partial output.
+    Only ``PLRSolver(backend="process")`` runs that backend.
     """
 
 

@@ -12,11 +12,10 @@ Public surface:
   scan math, reusable on its own.
 
 Most callers never import this directly: pass
-``backend="process"`` to :class:`repro.plr.PLRSolver` or
-:class:`repro.resilience.ResilientSolver` instead.  Batches never
-shard: rows are independent, and one in-process tiled pass over all of
-them measured faster than a pool on every batch tried, so
-:class:`repro.batch.BatchSolver` runs ``"process"`` in this process.
+``backend="process"`` to :class:`repro.plr.PLRSolver`, the one entry
+point that takes it, instead.  Batches, the resilience chain, the
+batch engine and the server never shard: one in-process pass measured
+faster than a pool on every input tried.
 """
 
 from repro.parallel.backend import solve_sharded

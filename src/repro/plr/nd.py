@@ -64,10 +64,9 @@ def solve_batch(
 
     ``backend`` takes every name in
     :data:`~repro.plr.solver.SOLVE_BACKENDS`, as the other entry points
-    do (:func:`~repro.plr.solver.prepare`).  ``"process"`` runs the
-    same in-process pass as ``"single"``: only a 1-D solve shards.
-    ``"native"`` runs each row through the compiled kernel and degrades
-    to the single backend when none can be built.
+    do (:func:`~repro.plr.solver.prepare`).  ``"native"`` runs each row
+    through the compiled kernel and degrades to the single backend when
+    none can be built.
 
     ``values`` may instead be a list or tuple of 1-D rows of any
     lengths; a list of outputs comes back.  The plan defaults to the

@@ -42,7 +42,6 @@ from repro.core.errors import BackendError, CodegenError
 from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
-from repro.gpusim.spec import MachineSpec
 from repro.obs.metrics import global_metrics
 from repro.obs.tracer import NULL_TRACER, coerce_tracer
 from repro.plr.factors import CorrectionFactorTable
@@ -70,12 +69,13 @@ __all__ = [
     "resolve_backend",
 ]
 
-SOLVE_BACKENDS = ("single", "process", "native", "auto")
-"""The backend names :func:`prepare` and every entry point built on it
+SOLVE_BACKENDS = ("single", "native", "auto")
+"""The backend names every CPU entry point accepts
 (:class:`PLRSolver`, :class:`~repro.batch.BatchSolver`,
 :func:`~repro.plr.nd.solve_batch`, :class:`~repro.batch.BatchEngine`,
 :class:`~repro.resilience.ResilientSolver`,
-:class:`~repro.serve.ServeConfig`) accept."""
+:class:`~repro.serve.ServeConfig`).  :class:`PLRSolver` alone also
+takes ``"process"``, which shards a 1-D solve across a worker pool."""
 
 STATIC_NATIVE_CROSSOVER = 1 << 15
 """The input length from which ``backend="auto"`` runs the native
@@ -88,13 +88,11 @@ float32 second-order filter (256 rows of 16-1,024 words, 2-vCPU
 x86_64)."""
 
 
-def check_backend(backend: str) -> None:
-    """Raise ``ValueError`` unless ``backend`` is one of
-    :data:`SOLVE_BACKENDS`."""
-    if backend not in SOLVE_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {SOLVE_BACKENDS}"
-        )
+def check_backend(backend: str, allowed: tuple[str, ...] = SOLVE_BACKENDS) -> None:
+    """Raise ``ValueError`` unless ``backend`` is one of ``allowed``
+    (default :data:`SOLVE_BACKENDS`)."""
+    if backend not in allowed:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {allowed}")
 
 
 def resolve_backend(backend: str, n: int) -> str:
@@ -303,11 +301,11 @@ class PreparedSolve:
     * a 1-D array (the :class:`PLRSolver` case), returning a 1-D array;
     * a (B, n) array of independent rows, returning a (B, n) array;
     * a list of 1-D rows of any lengths, returning a list.  The single
-      and process backends solve them as one packed pass.
+      backend solves them as one packed pass.
 
-    The process backend shards a 1-D input's chunks across its pool;
-    it runs a (B, n) array or a list in the in-process tiled pass, as
-    the single backend does.
+    The process backend, which only :class:`PLRSolver` passes, shards a
+    1-D input's chunks across its pool; a (B, n) array or a list runs
+    the in-process tiled pass, as on the single backend.
 
     ``partial`` is the Phase 1 result as (chunks, m) when
     ``keep_partial`` is set and the tiled pass ran, else None.
@@ -501,9 +499,6 @@ class PLRSolver:
     recurrence:
         The recurrence to compute (a :class:`Recurrence` or a signature
         string).
-    machine:
-        The GPU whose planning heuristics to follow; defaults to the
-        paper's Titan X.
     optimization:
         Which Section 3.1 optimizations the generated code and the cost
         model apply; the resulting plan lands on
@@ -515,8 +510,10 @@ class PLRSolver:
         folding) — which never changes a finite result beyond the sign
         of an exact zero.  Float Phase 1 runs as matrix products
         (:func:`repro.plr.phase1.segment_solve`), whose sums associate
-        differently from the generated code's merges; a row's bits do
-        not depend on which rows share its batch or its tiles.
+        differently from the generated code's merges.  A row of a
+        ragged batch (a list of rows, as the batch engine passes) keeps
+        its solo solve's bits whichever rows share its tiles; a row of
+        a float (B, n) array need not (:class:`~repro.batch.BatchSolver`).
     tracer:
         Observability hook: ``True`` for a fresh
         :class:`~repro.obs.tracer.Tracer`, an existing tracer to share,
@@ -528,7 +525,8 @@ class PLRSolver:
     backend:
         ``"single"`` (default) computes in this process;
         ``"process"`` shards chunks across a multicore pool with a
-        log-depth carry scan (:mod:`repro.parallel`).  Process-backend
+        log-depth carry scan (:mod:`repro.parallel`); no other entry
+        point takes it (:data:`SOLVE_BACKENDS`).  Process-backend
         results are bit-identical for integer dtypes and within normal
         rounding for floats (sums reassociate at slab boundaries).
         ``"native"`` JIT-compiles the recurrence with the C backend
@@ -563,7 +561,6 @@ class PLRSolver:
     def __init__(
         self,
         recurrence: Recurrence | Signature | str,
-        machine: MachineSpec | None = None,
         optimization: OptimizationConfig | None = None,
         tracer=None,
         backend: str = "single",
@@ -572,9 +569,8 @@ class PLRSolver:
         native_fallback: bool = True,
     ) -> None:
         recurrence = Recurrence.coerce(recurrence)
-        check_backend(backend)
+        check_backend(backend, SOLVE_BACKENDS + ("process",))
         self.recurrence = recurrence
-        self.machine = machine or MachineSpec.titan_x()
         self.optimization = optimization or OptimizationConfig()
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
@@ -587,8 +583,9 @@ class PLRSolver:
 
     # ------------------------------------------------------------------
     def plan_for(self, n: int) -> ExecutionPlan:
-        """The execution plan PLR would choose for an input of length n."""
-        return plan_execution(self.recurrence.signature, n, self.machine)
+        """The execution plan PLR would choose for an input of length n,
+        planned for the default machine as :func:`prepare` plans."""
+        return plan_execution(self.recurrence.signature, n)
 
     def factor_table(self, plan: ExecutionPlan, dtype: np.dtype) -> CorrectionFactorTable:
         return cached_factor_table(

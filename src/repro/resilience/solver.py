@@ -37,7 +37,6 @@ from repro.core.errors import (
     ReproError,
     SimulationError,
     ValidationError,
-    WorkerError,
 )
 from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype, serial_full
@@ -49,7 +48,6 @@ from repro.gpusim.spec import MachineSpec
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import TracePid, coerce_tracer
-from repro.parallel.sharding import ShardOptions
 from repro.plr import solver as plr_solver
 from repro.plr.phase1 import check_integer_coefficients
 from repro.plr.planner import ExecutionPlan
@@ -122,7 +120,7 @@ class AttemptRecord:
     dtype: str
     chunk_size: int | None
     seed: int | None
-    outcome: str  # "ok" | "numerical" | "simulation" | "deadlock" | "corrupt" | "worker" | "backend"
+    outcome: str  # "ok" | "numerical" | "simulation" | "deadlock" | "corrupt" | "backend"
     detail: str = ""
     elapsed_s: float = 0.0
 
@@ -174,8 +172,10 @@ class ResilientSolver:
     recurrence:
         The recurrence (or signature / signature string) to compute.
     machine:
-        Machine for planning (``engine="plr"``) or simulation
-        (``engine="sim"``; defaults to the small test GPU there).
+        The GPU the simulator engine models (``engine="sim"`` only;
+        defaults to the small test GPU).  The plr engine plans for the
+        default machine, as every CPU entry point does, and refuses
+        ``machine``.
     policy:
         The :class:`FallbackPolicy`; defaults are production-shaped.
     engine:
@@ -201,28 +201,25 @@ class ResilientSolver:
         ``resilience``), and threads the tracer into whichever engine
         runs, so one trace shows the whole story: attempt, injected
         fault, stalled blocks, retry, fallback.
-    backend / workers / shard_options:
-        Backend plumbing for the plr engine, as on
-        :class:`~repro.plr.solver.PLRSolver`.  With
-        ``backend="process"`` a dead or stuck pool worker surfaces as a
-        typed :class:`~repro.core.errors.WorkerError`; with
-        ``backend="native"``, or ``"auto"`` where it resolves to native,
-        each attempt runs its prepared solve *strict*
+    backend:
+        Backend of the plr engine: one of
+        :data:`~repro.plr.solver.SOLVE_BACKENDS`, all in this process.
+        With ``backend="native"``, or ``"auto"`` where it resolves to
+        native, each attempt runs its prepared solve *strict*
         (``native_fallback=False``), so a missing compiler or failed
         compile surfaces as a typed
-        :class:`~repro.core.errors.BackendError`.  Either way the chain
-        records a ``"worker"`` / ``"backend"`` attempt, switches that
-        solve to the single backend and goes again without consuming a
-        retry — the pool and the toolchain are accelerators, never
-        correctness dependencies.  The next solve tries the named
-        backend again.
+        :class:`~repro.core.errors.BackendError`.  The chain records a
+        ``"backend"`` attempt, switches that solve to the single backend
+        and goes again without consuming a retry — the toolchain is an
+        accelerator, never a correctness dependency.  The next solve
+        tries the named backend again.
     context:
         Optional :class:`~repro.obs.context.TraceContext` naming the
         request this chain serves.  When set, the chain emits a
         ``resilient_solve`` span under it, each attempt/fallback
         instant carries its own child span, and per-attempt contexts
-        propagate into the engine (and, for ``backend="process"``, into
-        the worker lanes) — one request, one connected trace tree.
+        propagate into the engine's solver stages — one request, one
+        connected trace tree.
     """
 
     def __init__(
@@ -237,8 +234,6 @@ class ResilientSolver:
         deadlock_rounds: int = 200,
         tracer=None,
         backend: str = "single",
-        workers: int | None = None,
-        shard_options=None,
         context: TraceContext | None = None,
     ) -> None:
         recurrence = Recurrence.coerce(recurrence)
@@ -250,11 +245,14 @@ class ResilientSolver:
                 f"backend={backend!r} applies to the plr engine only; the "
                 "simulator models its own parallelism"
             )
+        if machine is not None and engine == "plr":
+            raise ValueError(
+                "machine applies to the sim engine only; the plr engine "
+                "plans for the default machine"
+            )
         self.recurrence = recurrence
         self.engine = engine
-        self.machine = machine or (
-            MachineSpec.small_test_gpu() if engine == "sim" else MachineSpec.titan_x()
-        )
+        self.machine = machine or MachineSpec.small_test_gpu()
         self.policy = policy or FallbackPolicy()
         self.fault = fault
         self.sim_seed = sim_seed
@@ -264,9 +262,6 @@ class ResilientSolver:
         self.context = context
         self.metrics = MetricsRegistry()
         self.backend = backend
-        self.shard_options = (
-            shard_options if shard_options is not None else ShardOptions(workers=workers)
-        )
         self._pending_events: list[FaultEvent] = []
 
     # ------------------------------------------------------------------
@@ -401,29 +396,22 @@ class ResilientSolver:
                     plan = shrunk
                     continue
                 break
-            except (WorkerError, BackendError) as exc:
+            except BackendError as exc:
                 last_error = exc
-                worker = isinstance(exc, WorkerError)
-                outcome = "worker" if worker else "backend"
                 report.attempts.append(
-                    self._record(dtype, plan, seed, outcome, str(exc), t0, attempt_ctx)
+                    self._record(dtype, plan, seed, "backend", str(exc), t0, attempt_ctx)
                 )
-                self.metrics.counter(f"resilience.{outcome}_faults").inc()
+                self.metrics.counter("resilience.backend_faults").inc()
                 # Key on the backend the attempt ran: "auto" raises
                 # BackendError only once it resolved to native.
-                if resolve_backend(backend, values.size) == (
-                    "process" if worker else "native"
-                ):
-                    # A broken pool or a missing toolchain is not
-                    # transient within this solve: switch to the single
-                    # backend and go again without consuming a retry —
-                    # same recurrence, nothing left to break.
+                if resolve_backend(backend, values.size) == "native":
+                    # A missing toolchain is not transient within this
+                    # solve: switch to the single backend and go again
+                    # without consuming a retry — same recurrence,
+                    # nothing left to break.
                     backend = "single"
                     self._degrade(
-                        report,
-                        "process backend failed: single-process fallback"
-                        if worker
-                        else "native backend failed: numpy single-process fallback",
+                        report, "native backend failed: numpy single-process fallback"
                     )
                     continue
             except DeadlockError as exc:
@@ -476,7 +464,7 @@ class ResilientSolver:
     def _base_plan(self, n: int, dtype: np.dtype) -> ExecutionPlan:
         # Looked up on the solver module when called, so a wrapper
         # installed there (the benchmark's traced run) sees this plan.
-        plan = plr_solver.plan_execution(self.recurrence.signature, n, self.machine)
+        plan = plr_solver.plan_execution(self.recurrence.signature, n)
         if self.chunk_size is not None:
             plan = replace(
                 plan,
@@ -588,10 +576,7 @@ class ResilientSolver:
             # Strict: the chain owns the degradation decision, so a
             # native failure surfaces here as a typed error.
             with np.errstate(over="ignore", invalid="ignore"):
-                output, _, _ = handle(
-                    values, self.tracer, ctx,
-                    shard_options=self.shard_options, native_fallback=False,
-                )
+                output, _, _ = handle(values, self.tracer, ctx, native_fallback=False)
         if np.issubdtype(np.dtype(dtype), np.floating) and not np.isfinite(output).all():
             bad = int((~np.isfinite(output)).sum())
             raise NumericalError(
@@ -689,8 +674,6 @@ def solve_request(
     tracer=None,
     context: TraceContext | None = None,
     backend: str = "single",
-    workers: int | None = None,
-    shard_options=None,
 ) -> SolveReport:
     """Solve one request through a fresh degradation chain.
 
@@ -700,16 +683,9 @@ def solve_request(
     degradation that rescues it — stays confined to that request.
     ``dtype`` pins the dtype the request was grouped under; ``context``
     carries the request's trace identity into the chain; ``backend``
-    selects the isolated re-run's backend, and ``workers`` /
-    ``shard_options`` size its pool when that backend is ``"process"``.
+    selects the isolated re-run's backend.
     """
     solver = ResilientSolver(
-        recurrence,
-        policy=policy,
-        tracer=tracer,
-        context=context,
-        backend=backend,
-        workers=workers,
-        shard_options=shard_options,
+        recurrence, policy=policy, tracer=tracer, context=context, backend=backend
     )
     return solver.solve_with_report(np.asarray(values), dtype=dtype)

@@ -68,11 +68,6 @@ __all__ = [
     "ServeConfig",
 ]
 
-LATENCY_BUCKETS_MS = (
-    0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
-)
-"""Legacy linear-ish bucket preset, kept for callers that imported it."""
-
 SERVE_LATENCY_BUCKETS_MS = exponential_buckets(0.05, 2.0, 20)
 """Default serve-latency buckets: 50 µs to ~26 s, ×2 per bucket.  The
 sub-millisecond range gets six buckets of its own, so a p99 below 1 ms
@@ -155,14 +150,10 @@ class ServeConfig:
     default), ``"native"`` (JIT-compiled C kernels for the grouped pass
     and isolated re-runs, with automatic typed fallback to numpy when no
     compiler is available — a server must never die for lack of a
-    toolchain), ``"process"`` (multicore sharding for isolated re-runs
-    only), or ``"auto"`` (native for a grouped pass whose longest row
-    has at least 2^15 words and when a C compiler is available, else
-    single; see :func:`repro.plr.solver.resolve_backend`)."""
-
-    workers: int | None = None
-    """Worker-pool size for isolated re-runs, process backend only; the
-    single and native backends run in this process."""
+    toolchain), or ``"auto"`` (native for a grouped pass whose longest
+    row has at least 2^15 words and when a C compiler is available,
+    else single; see :func:`repro.plr.solver.resolve_backend`).  Every
+    backend runs in the server's process."""
 
     def __post_init__(self) -> None:
         check_backend(self.backend)
@@ -292,7 +283,6 @@ class PLRServer:
             metrics=self.metrics,
             tracer=self.tracer,
             backend=self.config.backend,
-            workers=self.config.workers,
         )
         self.clock = getattr(self.engine, "clock", time.monotonic)
         self.sampling = SamplingPolicy(
@@ -654,7 +644,7 @@ class PLRServer:
         self.slo.record(ok=ok, latency_ms=latency_ms)
         if self.tracer.enabled:
             # The request's root span: admission to reply, parent of the
-            # whole engine/resilience/worker tree.
+            # whole engine/resilience/solver tree.
             dur_us = latency_ms * 1000.0
             self.tracer.complete(
                 "serve_request",

@@ -471,15 +471,6 @@ class TestPackedPass:
         with pytest.raises(ValueError, match="1D rows"):
             BatchSolver("(1: 1)").solve([np.zeros((2, 3))])
 
-    @pytest.mark.parametrize("signature", ["(1: 2, -1)", "(0.04: 1.6, -0.64)"])
-    def test_process_backend_runs_ragged_rows_in_the_packed_pass(self, signature, rng):
-        recurrence = Recurrence.parse(signature)
-        rows = [make_values(recurrence, n) for n in (3, 2500, 40)]
-        outputs = BatchSolver(signature, backend="process").solve(rows)
-        solver = PLRSolver(signature)
-        for row, out in zip(rows, outputs):
-            assert out.tobytes() == solver.solve(row).tobytes()
-
 
 SIGNATURES = ("(1: 1)", "(1: 2, -1)", "(0.2: 0.8)", "(0.5, 0.5: 0.9)")
 

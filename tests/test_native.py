@@ -276,9 +276,7 @@ class TestNativeAfterInProcessSolve:
 
         recurrence = Recurrence.parse("(1: 2, -1)")
         values = make_values(recurrence, 30000)
-        report = ResilientSolver(
-            recurrence, backend="native", shard_options=self.OPTIONS
-        ).solve_with_report(values)
+        report = ResilientSolver(recurrence, backend="native").solve_with_report(values)
         assert report.ok
         assert [attempt.outcome for attempt in report.attempts] == ["ok"]
         assert report.degradations == []

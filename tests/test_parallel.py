@@ -36,9 +36,12 @@ from repro.parallel.scan import (
 from repro.parallel.sharding import ShardOptions, resolve_workers, slab_spans
 from repro.plr.phase1 import thread_local_solve
 from repro.plr.phase2 import LOOKBACK_SUMMARY_THRESHOLD
+from repro.plr.nd import solve_batch
 from repro.plr.solver import PLRSolver
+from repro.batch.engine import BatchEngine
 from repro.batch.solver import BatchSolver
 from repro.resilience.solver import ResilientSolver
+from repro.serve import ServeConfig
 
 
 def small_plan(solver: PLRSolver, n: int, chunk: int = 64):
@@ -280,25 +283,38 @@ class TestProcessBackendEquality:
 
 
 class TestBatchSharding:
-    def test_batch_rows_match_single(self):
-        rng = np.random.default_rng(11)
-        batch = rng.integers(-40, 40, size=(5, 300)).astype(np.int32)
-        single = BatchSolver("(1: 2, -1)")
-        plan = small_plan(PLRSolver("(1: 2, -1)"), 300)
-        expected = single.solve(batch, plan=plan)
-        sharded = BatchSolver("(1: 2, -1)", backend="process")
-        got = sharded.solve(batch, plan=plan)
-        assert np.array_equal(got, expected)
-
-    def test_single_row_runs_inline(self):
-        batch = np.ones((1, 100), dtype=np.int64)
-        sharded = BatchSolver("(1: 1)", backend="process")
-        out = sharded.solve(batch)
-        assert np.array_equal(out[0], np.arange(1, 101, dtype=np.int64))
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             BatchSolver("(1: 1)", backend="gpu")
+
+
+class TestOnlyPLRSolverShards:
+    """``"process"`` is a backend name only :class:`PLRSolver` takes;
+    every other CPU entry point runs in this process and refuses it as
+    it refuses any unknown name."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BatchSolver("(1: 1)", backend="process"),
+            lambda: solve_batch(np.ones((2, 8), np.int32), "(1: 1)", backend="process"),
+            lambda: BatchEngine(backend="process"),
+            lambda: ResilientSolver("(1: 1)", backend="process"),
+            lambda: ServeConfig(backend="process"),
+        ],
+        ids=["BatchSolver", "solve_batch", "BatchEngine", "ResilientSolver", "ServeConfig"],
+    )
+    def test_other_entry_points_refuse_it(self, build):
+        with pytest.raises(ValueError, match="unknown backend 'process'"):
+            build()
+
+    def test_plr_serve_refuses_it(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--self-test", "--backend", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
 
 @settings(
@@ -370,22 +386,6 @@ class TestWorkerFaults:
         )
         with pytest.raises(WorkerError, match="did not finish"):
             solver.solve(values, plan=small_plan(solver, n))
-
-    def test_resilient_solver_degrades_to_single_process(self):
-        n = 4096
-        values = np.random.default_rng(9).integers(-50, 50, n).astype(np.int32)
-        solver = ResilientSolver(
-            "(1: 2, -1)",
-            backend="process",
-            shard_options=ShardOptions(workers=2, inject="die"),
-        )
-        report = solver.solve_with_report(values)
-        assert report.ok
-        assert report.degraded
-        assert [a.outcome for a in report.attempts][0] == "worker"
-        assert any("single-process" in d for d in report.degradations)
-        expected = serial_full(values, Recurrence.parse("(1: 2, -1)").signature)
-        assert np.array_equal(report.output, expected)
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,6 @@ from repro.resilience.health import (
 )
 from repro.resilience.solver import FallbackPolicy, ResilientSolver
 
-from repro.core.coefficients import table1_signatures
-from tests.conftest import make_values
-
 
 @pytest.fixture(scope="module")
 def machine() -> MachineSpec:
@@ -388,11 +385,15 @@ class TestResilientSolver:
         with pytest.raises(ValueError, match="engine"):
             ResilientSolver("(1: 1)", engine="fpga")
 
-    @pytest.mark.parametrize("backend", ["native", "auto", "process"])
+    @pytest.mark.parametrize("backend", ["native", "auto"])
     def test_sim_engine_names_the_backend_it_rejects(self, backend):
         with pytest.raises(ValueError) as excinfo:
             ResilientSolver("(1: 1)", engine="sim", backend=backend)
         assert str(excinfo.value).startswith(f"backend={backend!r} applies to the plr engine")
+
+    def test_plr_engine_refuses_a_machine(self, machine):
+        with pytest.raises(ValueError, match="machine applies to the sim engine only"):
+            ResilientSolver("(1: 1)", machine=machine)
 
     def test_sim_engine_rejects_unknown_backend_like_every_entry_point(self):
         with pytest.raises(ValueError, match="unknown backend 'turbo'; expected one of"):
@@ -562,33 +563,35 @@ class TestNestedDegradationOrdering:
     """Satellite of the serving PR: the fallback chain's attempt record
     must pin the exact degradation sequence when failures nest."""
 
-    def test_worker_death_then_overflow_then_promotion(self):
-        """process pool dies -> single-process fallback (no retry
-        consumed) -> float32 overflow detected -> dtype promotion ->
-        success.  The SolveReport must record exactly that story, in
-        that order."""
-        from repro.parallel.sharding import ShardOptions
+    @pytest.fixture(autouse=True)
+    def _failing_native_kernel(self, monkeypatch):
+        from repro.codegen import jit
 
-        solver = ResilientSolver(
-            "(1: 1.05)",
-            backend="process",
-            workers=2,
-            shard_options=ShardOptions(workers=2, inject="die"),
-        )
+        def broken(ir, workdir=None):
+            raise BackendError("compiler crashed")
+
+        monkeypatch.setattr(jit, "native_kernel", broken)
+
+    def test_native_failure_then_overflow_then_promotion(self):
+        """native kernel fails -> numpy single-process fallback (no
+        retry consumed) -> float32 overflow detected -> dtype promotion
+        -> success.  The SolveReport must record exactly that story, in
+        that order."""
+        solver = ResilientSolver("(1: 1.05)", backend="native")
         x = np.ones(4096, dtype=np.float32)
         report = solver.solve_with_report(x)
         assert report.ok
         assert report.engine == "plr"  # recovered, not serial fallback
         assert report.dtype == np.float64
         assert [a.outcome for a in report.attempts] == [
-            "worker", "numerical", "ok",
+            "backend", "numerical", "ok",
         ]
         assert report.degradations == [
-            "process backend failed: single-process fallback",
+            "native backend failed: numpy single-process fallback",
             "dtype promoted float32 -> float64",
         ]
-        # The worker attempt kept the original dtype; promotion only
-        # happened after the overflow was detected single-process.
+        # The native attempt kept the original dtype; promotion only
+        # happened after the overflow was detected on numpy.
         assert report.attempts[0].dtype == "float32"
         assert report.attempts[1].dtype == "float32"
         assert report.attempts[2].dtype == "float64"
@@ -596,59 +599,23 @@ class TestNestedDegradationOrdering:
         verdict = compare_results(report.output, reference)
         assert verdict.ok, verdict.describe()
 
-    def test_worker_death_alone_consumes_no_retry(self):
-        from repro.parallel.sharding import ShardOptions
-
+    def test_native_failure_alone_consumes_no_retry(self):
         solver = ResilientSolver(
-            "(1: 1)",
-            backend="process",
-            workers=2,
-            policy=FallbackPolicy(max_retries=0),
-            shard_options=ShardOptions(workers=2, inject="die"),
+            "(1: 1)", backend="native", policy=FallbackPolicy(max_retries=0)
         )
-        # Below ~2k elements the solver plans a single slab and never
-        # touches the pool; the injection needs a real sharded run.
         x = np.arange(4096, dtype=np.int32)
         report = solver.solve_with_report(x)
         assert report.ok and report.engine == "plr"
-        assert [a.outcome for a in report.attempts] == ["worker", "ok"]
+        assert [a.outcome for a in report.attempts] == ["backend", "ok"]
         assert report.degradations == [
-            "process backend failed: single-process fallback",
+            "native backend failed: numpy single-process fallback",
         ]
         np.testing.assert_array_equal(report.output, np.cumsum(x, dtype=np.int32))
 
 
 class TestChaosExtensions:
-    """Satellites of the serving PR: the chaos sweep reaches the
-    process-sharded backend and the batch engine's mixed queues."""
-
-    @pytest.mark.chaos
-    @pytest.mark.parametrize("inject", ["die", "hang"])
-    def test_chaos_process_backend_sharded(self, inject):
-        """Worker faults in the real process pool (death and hang) must
-        resolve to a correct output via the single-process fallback —
-        the resilience invariant on the sharded path."""
-        from repro.parallel.sharding import ShardOptions
-
-        for name in ("prefix_sum", "order2_prefix_sum", "high_pass_1"):
-            recurrence = Recurrence(table1_signatures()[name])
-            values = make_values(recurrence, 4096)
-            solver = ResilientSolver(
-                recurrence,
-                backend="process",
-                workers=2,
-                shard_options=ShardOptions(
-                    workers=2, timeout_s=0.5, inject=inject
-                ),
-            )
-            report = solver.solve_with_report(values)
-            assert report.ok, report.describe()
-            assert any("single-process fallback" in d for d in report.degradations)
-            expected = serial_full(
-                values, recurrence.signature, dtype=report.output.dtype
-            )
-            verdict = compare_results(report.output, expected)
-            assert verdict.ok, f"{name}/{inject}: {verdict.describe()}"
+    """Satellite of the serving PR: the chaos sweep reaches the batch
+    engine's mixed queues."""
 
     @pytest.mark.chaos
     def test_engine_chaos_mixed_queue(self):

@@ -2,8 +2,8 @@
 
 The tentpole contract: a client-supplied trace id yields ONE connected
 trace — server root span, flush span, engine group span, isolation and
-resilience attempt spans, down to worker-process slab lanes — where
-every parent link resolves, all under the client's trace id.
+resilience attempt spans, down to the solver's per-tile stage spans —
+where every parent link resolves, all under the client's trace id.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.batch.planner import BatchPlanner
 from repro.core.errors import ProtocolError
 from repro.obs.exporters import chrome_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import TracePid, Tracer
+from repro.obs.tracer import Tracer
 from repro.serve import (
     PLRServer,
     ServeClient,
@@ -85,7 +85,7 @@ class TestProtocolTraceField:
 
 
 def traced_server(**overrides):
-    """A server whose engine isolates through the process backend."""
+    """A server whose engine shares the test's tracer."""
     overrides.setdefault("flush_ms", 2.0)
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -94,8 +94,6 @@ def traced_server(**overrides):
         planner=BatchPlanner(max_batch=config.max_batch),
         metrics=metrics,
         tracer=tracer,
-        backend="process",
-        workers=2,
     )
     return PLRServer(config, engine=engine, metrics=metrics, tracer=tracer), tracer
 
@@ -103,9 +101,9 @@ def traced_server(**overrides):
 class TestEndToEndTracePropagation:
     def test_client_trace_spans_server_to_worker_lanes(self, tmp_path):
         """The acceptance walk: serve a request whose group pass must
-        fall back to per-request isolation (lossy integer coefficients)
-        with a process-pool solver, then verify the exported trace is
-        one tree under the client's trace id."""
+        fall back to per-request isolation (lossy integer coefficients),
+        then verify the exported trace is one tree under the client's
+        trace id, down to the isolated solve's tile stages."""
 
         async def scenario():
             server, tracer = traced_server()
@@ -114,8 +112,7 @@ class TestEndToEndTracePropagation:
                 client = await ServeClient.connect(server.address)
                 # (1: 0.5) on int32 cannot ride the integer batch path:
                 # the engine isolates it and the resilience chain
-                # promotes to float64 — through backend="process", which
-                # fans out to worker processes at this length.
+                # promotes to float64, whose solve runs the tiled pass.
                 reply = await client.solve(
                     "(1: 0.5)",
                     list(range(1, 4097)),
@@ -144,13 +141,13 @@ class TestEndToEndTracePropagation:
         ]
         names = {e.name for e in linked}
         # Every layer contributed spans to the one trace: server root,
-        # flush, engine group + isolation, resilience chain, solver
-        # stages, worker lanes.
+        # flush, engine group + isolation, resilience chain, and the
+        # solver's tile stages.
         assert "serve_request" in names
         assert "serve_flush" in names
         assert "batch_group" in names and "isolate" in names
         assert "resilient_solve" in names and "attempt" in names
-        assert {"phase1_shards", "phase1_slab", "phase2_slab"} <= names
+        assert {"map_stage", "phase1", "phase2"} <= names
 
         # The root is parented to the CLIENT's span, nothing else is
         # orphaned: walking parent links connects every span.
@@ -166,9 +163,6 @@ class TestEndToEndTracePropagation:
             and e.name != "serve_request"
         ]
         assert orphans == []
-
-        # Worker lanes really crossed the process boundary.
-        assert any(e.pid >= TracePid.WORKER_BASE for e in linked)
 
         # And the whole thing exports as a Perfetto-loadable Chrome
         # trace whose args carry the ids.

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch import BatchEngine, BatchSolver
 from repro.core.recurrence import Recurrence
 from repro.core.reference import serial_full
 from repro.core.signature import Signature
 from repro.core.validation import assert_valid
+from repro.gpusim.spec import MachineSpec
 from repro.plr.solver import PLRSolver, plr_solve
 from tests.conftest import make_values
 
@@ -122,6 +124,21 @@ class TestAPI:
         plan = solver.plan_for(5000)
         out = solver.solve(values, plan=plan)
         np.testing.assert_array_equal(out, np.cumsum(values, dtype=np.int32))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda machine: PLRSolver("(1: 1)", machine=machine),
+            lambda machine: BatchSolver("(1: 1)", machine=machine),
+            lambda machine: BatchEngine(machine=machine),
+        ],
+        ids=["PLRSolver", "BatchSolver", "BatchEngine"],
+    )
+    def test_cpu_entry_points_take_no_machine(self, build):
+        # They all plan for the default machine, so a grouped row
+        # computes exactly as its own solve does.
+        with pytest.raises(TypeError, match="machine"):
+            build(MachineSpec.small_test_gpu())
 
     def test_input_not_modified(self, rng):
         values = rng.integers(-5, 5, 2000).astype(np.int32)
